@@ -9,7 +9,7 @@ the main correctness lever of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError
 from .quadrature import QuadratureResult, integrate_semi_infinite
@@ -139,21 +139,9 @@ def debye_mass_sq_massless(params: ThermalParams) -> DebyeResult:
 
 def debye_mass_sq_si(params: ThermalParams, units: UnitSystem, tol: float = 1e-12) -> DebyeResult:
     """Series route with dimensional prefactor hbar*c/epsilon0 and argument beta*m*c^2."""
-    if params.is_ground:
-        return _ground_result("series")
-    if params.mass == 0.0:
-        raise ValueError("mass = 0 has no series form; use the massless route")
-    bmc2 = params.beta * params.mass * units.c ** 2
-    pref = (params.charge_e ** 2 * params.mass ** 2 * units.hbar * units.c
-            / (math.pi ** 2 * units.epsilon0))
-    if bmc2 > 740.0:
-        return _result(0.0, "series", SeriesResult(value=0.0, terms_used=1, remainder_bound=0.0))
-    series = alternating_sum(
-        lambda n: bessel_k(2, (n + 1) * bmc2),
-        tol=tol / max(pref, 1e-300),
-        max_terms=int(2000 / min(bmc2, 1.0)) + 50,
-    )
-    return _result(pref * series.value, "series", series)
+    pref = units.hbar * units.c / units.epsilon0
+    natural = debye_mass_sq_series(replace(params, beta=params.beta * units.c ** 2), tol / pref)
+    return _result(pref * natural.m_d_sq, "series", natural.diagnostics)
 
 
 def debye_mass_sq(params: ThermalParams, tol: float = 1e-10) -> DebyeResult:

@@ -103,21 +103,27 @@ class RadialProfile:
         object.__setattr__(self, "values", vals)
 
 
-def source_fourier(source: SourceSpec, p_mag: float) -> float:
-    """Radial Fourier transform of the source density; q at zero momentum."""
-    if p_mag < 0.0:
+def source_fourier(source: SourceSpec, p_mag):
+    """Radial Fourier transform of the source density; q at zero momentum.
+
+    Elementwise over a numpy array of momenta; a scalar gives a float.
+    """
+    p = np.asarray(p_mag, dtype=float)
+    if np.any(p < 0.0):
         raise ValueError(f"p_mag must be >= 0, got {p_mag}")
     q = source.charge_q
     w = source.width
     if source.family == "smoothed_point" or source.family == "gaussian":
         # Gaussian mollifier of width w in both cases
-        return q * math.exp(-0.5 * w * w * p_mag * p_mag)
-    x = p_mag * w
-    if x < 1e-2:
-        # series of 3(sin x - x cos x)/x^3; next term ~ x^6/15120
+        out = q * np.exp(-0.5 * w * w * p * p)
+    else:
+        x = p * w
         x2 = x * x
-        return q * (1.0 - x2 / 10.0 + x2 * x2 / 280.0)
-    return q * 3.0 * (math.sin(x) - x * math.cos(x)) / (x * x * x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            closed = 3.0 * (np.sin(x) - x * np.cos(x)) / (x * x * x)
+        # series of 3(sin x - x cos x)/x^3; next term ~ x^6/15120
+        out = q * np.where(x < 1e-2, 1.0 - x2 / 10.0 + x2 * x2 / 280.0, closed)
+    return out if out.ndim else float(out)
 
 
 def yukawa_reference(q: float, lam: float, m_d_sq: float, r: float) -> float:
@@ -251,8 +257,7 @@ def screening_profile(source: SourceSpec, params: ThermalParams, mode: str,
         a = np.asarray(p, dtype=float)
         scalar = a.ndim == 0
         pv = np.atleast_1d(a)
-        jv = np.array([source_fourier(source, float(x)) for x in pv])
-        out = jv / den(pv)
+        out = source_fourier(source, pv) / den(pv)
         return float(out[0]) if scalar else out
 
     values = _transform_radii(integrand, r_grid, tol)

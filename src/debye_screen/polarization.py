@@ -9,15 +9,15 @@ momentum and picks up a vacuum Kallen-Lehmann piece at finite momentum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ._util import worker_count
+import numpy as np
+
 from .debye import debye_mass_sq
 from .errors import InfraredDivergenceError, PoleDetectedError, ScanError
 from .quadrature import integrate_radial_angular, integrate_semi_infinite
-from .specfun import ThermalParams, dispersion, fermi_factor, fermi_factor_prime
+from .specfun import ThermalParams
 
 __all__ = [
     "KernelScan",
@@ -59,46 +59,50 @@ def _check_channel(channel: str) -> None:
         raise ValueError(f"channel must be one of {_CHANNELS}, got {channel!r}")
 
 
-def _kernel_quotient(p_tilde: float, params: ThermalParams, sign: float):
-    """Integrand (p, cos theta) -> Fermi-weighted difference quotient.
+def _kernel_quotient(p, t, p_tilde: float, params: ThermalParams, sign: float):
+    """Fermi-weighted difference quotient at broadcast (p, cos theta) arrays.
 
     sign=+1 selects numerators w^2 + E (temporal), sign=-1 selects
     w^2 - E (spatial), E = m^2 + p^2 + p_tilde*p*t shared by both halves
     of the bracket. The denominator w_p^2 - w_k^2 = -pt*(pt + 2 p t) is
     supplied in its exact factored form, and near the coincidence set
     the quotient switches to its first-order limit, where the stable
-    mean of the two exact spatial numerators is pt^2/2.
+    mean of the two exact spatial numerators is pt^2/2. The Fermi
+    factors are e/(1+e), e = exp(-beta w), so params must be thermal.
     """
     beta, m = params.beta, params.mass
     pt = p_tilde
-
-    def kernel(p, t):
-        wp2 = m * m + p * p
-        wp = math.sqrt(wp2)
-        dot = pt * p * t
-        wk2 = wp2 + pt * pt + 2.0 * dot
-        wk = math.sqrt(wk2)
-        e_shared = wp2 + dot
-        if abs(wp - wk) < 1e-6 * (wp + wk):
-            wb = 0.5 * (wp + wk)
-            f = fermi_factor(beta, wb)
-            fp = fermi_factor_prime(beta, wb)
-            nu = 0.5 * pt * pt  # mean of the exact numerators w^2 -+ E
-            if sign > 0.0:
-                return nu * f / (wb * wb) / (2.0 * wb) + (wb + e_shared / wb) * fp / (2.0 * wb)
-            return nu * (fp / wb - f / (wb * wb)) / (2.0 * wb) + f / wb
-        den = -pt * (pt + 2.0 * p * t)
-        fp_, fk_ = fermi_factor(beta, wp), fermi_factor(beta, wk)
+    wp2 = m * m + p * p
+    wp = np.sqrt(wp2)
+    dot = pt * p * t
+    wk2 = wp2 + pt * pt + 2.0 * dot
+    wk = np.sqrt(wk2)
+    e_shared = wp2 + dot
+    ep, ek = np.exp(-beta * wp), np.exp(-beta * wk)
+    fp_, fk_ = ep / (1.0 + ep), ek / (1.0 + ek)
+    if sign > 0.0:
+        num_p = (wp2 + e_shared) * fp_ / wp
+        num_k = (wk2 + e_shared) * fk_ / wk
+    else:
+        # w^2 - E collapses exactly: wp2-E = -pt*p*t, wk2-E = pt*(pt+p*t)
+        num_p = -dot * fp_ / wp
+        num_k = pt * (pt + p * t) * fk_ / wk
+    den = -pt * (pt + 2.0 * p * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (num_p - num_k) / den
+    near = np.abs(wp - wk) < 1e-6 * (wp + wk)
+    if near.any():
+        wb = (0.5 * (wp + wk))[near]
+        e = np.exp(-beta * wb)
+        f = e / (1.0 + e)
+        fp = -beta * e / (1.0 + e) ** 2
+        nu = 0.5 * pt * pt  # mean of the exact numerators w^2 -+ E
         if sign > 0.0:
-            num_p = (wp2 + e_shared) * fp_ / wp
-            num_k = (wk2 + e_shared) * fk_ / wk
+            es = e_shared[near]
+            out[near] = nu * f / (wb * wb) / (2.0 * wb) + (wb + es / wb) * fp / (2.0 * wb)
         else:
-            # w^2 - E collapses exactly: wp2-E = -pt*p*t, wk2-E = pt*(pt+p*t)
-            num_p = -dot * fp_ / wp
-            num_k = pt * (pt + p * t) * fk_ / wk
-        return (num_p - num_k) / den
-
-    return kernel
+            out[near] = nu * (fp / wb - f / (wb * wb)) / (2.0 * wb) + f / wb
+    return out
 
 
 def _f_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float) -> float:
@@ -118,20 +122,30 @@ def _f_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float) 
         return 0.0
     sign = 1.0 if channel == "temporal" else -1.0
     c_f = params.charge_e ** 2 / (4.0 * math.pi ** 3)
-    kernel = _kernel_quotient(p_tilde_mag, params, sign)
     pt = p_tilde_mag
+
+    def kernel(p, t):
+        return _kernel_quotient(p, t, pt, params, sign)
 
     def breakpoints(p):
         ts = -pt / (2.0 * p)
         return (ts,) if -1.0 < ts < 1.0 else ()
 
-    res = integrate_radial_angular(
-        kernel,
-        tol / c_f,
-        decay_scale=(1.0 + params.mass) / params.beta,
-        inner_points=breakpoints,
-    )
-    return sign * c_f * res.value
+    def integral(target):
+        res = integrate_radial_angular(
+            kernel,
+            target / c_f,
+            decay_scale=(1.0 + params.mass) / params.beta,
+            inner_points=breakpoints,
+        )
+        return sign * c_f * res.value
+
+    value = integral(tol)
+    if 0.0 < abs(value) < 1e3 * tol:
+        # the absolute target leaves a kernel this small (the cold regime)
+        # without relative accuracy; rescale it, as debye_mass_sq_integral does
+        value = integral(tol * abs(value))
+    return value
 
 
 def f_hat_temporal(p_tilde_mag: float, params: ThermalParams, tol: float = 1e-8) -> float:
@@ -205,7 +219,7 @@ def effective_denominator(channel: str, p_tilde_mag: float, params: ThermalParam
 def scan_kernel(channel: str, p_grid, params: ThermalParams, tol: float = 1e-8) -> KernelScan:
     """Evaluate both kernels and the denominator over a momentum grid.
 
-    Points evaluate in parallel; any failure aborts the scan carrying
+    Points evaluate in grid order; any failure aborts the scan carrying
     the completed points as diagnostic.
     """
     _check_channel(channel)
@@ -215,25 +229,13 @@ def scan_kernel(channel: str, p_grid, params: ThermalParams, tol: float = 1e-8) 
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError("momentum grid must be strictly increasing")
 
-    def one(pt):
-        fh = _f_hat(channel, pt, params, tol)
-        bh = b_hat(channel, pt, params, tol)
-        return ScanPoint(pt, fh, bh, pt * pt - params.lam * (fh + bh))
-
-    results: dict[int, ScanPoint] = {}
-    workers = min(worker_count(), max(len(grid), 1))
+    points = []
     try:
-        if workers > 1 and len(grid) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                for i, point in enumerate(ex.map(one, grid)):
-                    results[i] = point
-        else:
-            for i, pt in enumerate(grid):
-                results[i] = one(pt)
+        for pt in grid:
+            fh = _f_hat(channel, pt, params, tol)
+            bh = b_hat(channel, pt, params, tol)
+            points.append(ScanPoint(pt, fh, bh, pt * pt - params.lam * (fh + bh)))
     except Exception as exc:
-        done = tuple(results[i] for i in sorted(results))
-        raise ScanError(f"kernel scan aborted: {exc}", partial=done) from exc
-
-    points = tuple(results[i] for i in range(len(grid)))
-    return KernelScan(channel=channel, points=points, params_snapshot=params,
+        raise ScanError(f"kernel scan aborted: {exc}", partial=tuple(points)) from exc
+    return KernelScan(channel=channel, points=tuple(points), params_snapshot=params,
                       metadata={"tol": tol})

@@ -12,13 +12,13 @@ Four workhorses used throughout the package:
 * plain Monte Carlo in 6 dimensions with a deterministic, chunked
   importance sampler.
 
-Integrand callables handed to the oscillatory and Monte Carlo routines
-must accept numpy arrays elementwise; the scalar routines feed floats.
+Integrand callables handed to the radial-angular, oscillatory and Monte
+Carlo routines must accept numpy arrays elementwise; the semi-infinite
+routine feeds floats.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import operator
@@ -83,37 +83,50 @@ class TestProfile:
         return out if out.shape else float(out)
 
 
-def removable_quotient(h, dh, w1: float, w2: float, den: float | None = None) -> float:
+def removable_quotient(h, dh, w1, w2, den=None):
     """(h(w1) - h(w2)) / (w1^2 - w2^2) with a Taylor branch at coincidence.
 
-    When |w1 - w2| < 1e-6 (w1 + w2) the direct quotient is 0/0-noisy, so
-    the analytic limit dh(w)/(2w) at the midpoint is used instead.
-    ``den`` optionally supplies w1^2 - w2^2 computed in exact arithmetic
-    by the caller (useful when the squares difference telescopes).
+    Elementwise over numpy arrays; h and dh must accept arrays. Where
+    |w1 - w2| < 1e-6 (w1 + w2) the direct quotient is 0/0-noisy, so the
+    analytic limit dh(w)/(2w) at the midpoint is used instead. ``den``
+    optionally supplies w1^2 - w2^2 computed in exact arithmetic by the
+    caller (useful when the squares difference telescopes). Scalar
+    inputs give a float.
     """
-    if abs(w1 - w2) < 1e-6 * (w1 + w2):
-        wm = 0.5 * (w1 + w2)
-        return dh(wm) / (2.0 * wm)
+    w1 = np.asarray(w1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    near = np.abs(w1 - w2) < 1e-6 * (w1 + w2)
+    wm = 0.5 * (w1 + w2)
     if den is None:
         den = (w1 - w2) * (w1 + w2)
-    return (h(w1) - h(w2)) / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(near, dh(wm) / (2.0 * wm), (h(w1) - h(w2)) / den)
+    return out if out.ndim else float(out)
 
 
 class _Counted:
-    """Wrap a scalar integrand: count calls, trap NaN/inf."""
+    """Wrap an integrand: count calls, trap NaN/inf.
 
-    __slots__ = ("f", "n")
+    A scalar f is called once per abscissa; with ``batch`` f maps a numpy
+    array of abscissae to their values in one call.
+    """
 
-    def __init__(self, f):
+    __slots__ = ("f", "n", "batch")
+
+    def __init__(self, f, batch=False):
         self.f = f
         self.n = 0
+        self.batch = batch
 
     def __call__(self, x):
         return self.many((x,))[0]
 
     def many(self, xs):
-        """f at each abscissa of xs in turn; one finiteness test per batch."""
-        vals = list(map(self.f, xs))
+        """f at each abscissa of xs; one finiteness test per batch."""
+        if self.batch:
+            vals = self.f(np.array(xs, dtype=float)).tolist()
+        else:
+            vals = list(map(self.f, xs))
         self.n += len(vals)
         if not math.isfinite(sum(vals)):
             for x, v in zip(xs, vals):
@@ -180,6 +193,31 @@ def _gk21(cf, a, b):
     if resabs > _TINY / (50.0 * _EPS):
         err = max(50.0 * _EPS * resabs, err)
     return resk * h, err, a, b, resasc
+
+
+# the same rule as rows, for many panels at once
+_XK_ROW, _WK_ROW, _WG_ROW = np.array(_XK), np.array(_WK), np.array(_WG)
+
+
+def _gk21_rows(fx, h):
+    """_gk21 on many panels at once: (value, error, resasc) arrays.
+
+    ``fx`` holds each panel's integrand values at its _XK abscissae, one
+    row per panel, and ``h`` the panels' half-widths. Row sums are
+    numpy's, so each panel's result does not depend on the other rows.
+    """
+    resk = (fx * _WK_ROW).sum(axis=1)
+    resg = (fx[:, 1::2] * _WG_ROW).sum(axis=1)
+    ah = np.abs(h)
+    resabs = (np.abs(fx) * _WK_ROW).sum(axis=1) * ah
+    resasc = (np.abs(fx - 0.5 * resk[:, None]) * _WK_ROW).sum(axis=1) * ah
+    err = np.abs((resk - resg) * h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    err = np.where(resabs > _TINY / (50.0 * _EPS),
+                   np.maximum(50.0 * _EPS * resabs, err), err)
+    return resk * h, err, resasc
 
 
 def _to_unit_interval(f, a):
@@ -274,7 +312,7 @@ def integrate_semi_infinite(
         raise ValueError(f"tol must be > 0, got {tol}")
     if tail == "power" and not (tail_power > 1.0):
         raise ValueError("power tail needs tail_power > 1")
-    cf = _Counted(f)
+    cf = f if isinstance(f, _Counted) else _Counted(f)
 
     x_cut = 8.0 * decay_scale
     tail_bound = math.inf
@@ -302,6 +340,89 @@ def integrate_semi_infinite(
     return QuadratureResult(value=val, error_estimate=total_err, evaluations=cf.n, converged=converged)
 
 
+def _angular_shells(kernel, ps, epsabs, inner_points):
+    """int_{-1}^{1} kernel(p, t) dt for every p of ``ps``: (values, evaluations).
+
+    Each integral is refined as _quad refines it: 21-point panels, split
+    first at its ``inner_points``, until the summed error is below
+    max(epsabs, 1e-10*|value|), 200 panels exist, or rounding
+    stalls (QUADPACK's iroff counters, or a panel too narrow to bisect).
+    Instead of one worst panel per step, a round bisects, in every open
+    integral, its worst panel and each panel whose error exceeds its
+    share of the target (its share of [-1, 1]); all the new panels of all
+    the integrals go to the kernel in one call of shape (n_panels, 21).
+    """
+    epsrel, limit = 1e-10, 200
+    n = len(ps)
+    lo, hi, own = [], [], []
+    for i, p in enumerate(ps.tolist()):
+        cuts = sorted(t for t in (inner_points(p) if inner_points else ()) if -1.0 < t < 1.0)
+        edges = [-1.0, *cuts, 1.0]
+        lo += edges[:-1]
+        hi += edges[1:]
+        own += [i] * (len(edges) - 1)
+    lo, hi, own = np.array(lo), np.array(hi), np.array(own)
+    evals = 0
+
+    def panels(a, b, rows):
+        nonlocal evals
+        h = 0.5 * (b - a)
+        t = (0.5 * (a + b))[:, None] + h[:, None] * _XK_ROW
+        fx = np.broadcast_to(kernel(ps[rows][:, None], t), t.shape)
+        evals += fx.size
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            at = (float(ps[rows[i]]), float(t[i, j]))
+            raise IntegrandError(f"kernel returned {fx[i, j]} at (p, t) = {at}", abscissa=at)
+        return _gk21_rows(fx, h)
+
+    val, err, asc = panels(lo, hi, own)
+    npan = np.bincount(own, minlength=n)
+    iroff1, iroff2 = np.zeros(n), np.zeros(n)
+    stalled = np.zeros(n, dtype=bool)
+    # as in _quad, the first panels pass only if no error estimate is its
+    # resasc, which flags an estimate swamped by rounding
+    suspect = np.bincount(own, err == asc, n) > 0
+    while True:
+        area = np.bincount(own, val, n)
+        errsum = np.bincount(own, err, n)
+        target = np.maximum(epsabs, epsrel * np.abs(area))
+        live = ((errsum > target) | suspect) & (errsum != 0.0) & ~stalled & (npan < limit)
+        if not live.any():
+            return area, evals
+        suspect[:] = False
+        cand = np.flatnonzero(live[own])
+        order = cand[np.lexsort((-err[cand], own[cand]))]
+        o = own[order]
+        rank = np.arange(o.size) - np.searchsorted(o, o)
+        over = err[order] > target[o] * 0.5 * (hi[order] - lo[order])
+        sel = order[((rank == 0) | over) & (rank < (limit - npan)[o])]
+        o, a, b = own[sel], lo[sel], hi[sel]
+        mid = 0.5 * (a + b)
+        cv, ce, ca = panels(np.concatenate([a, mid]), np.concatenate([mid, b]),
+                            np.concatenate([o, o]))
+        k = sel.size
+        area12 = cv[:k] + cv[k:]
+        err12 = ce[:k] + ce[k:]
+        sound = (ce[:k] != ca[:k]) & (ce[k:] != ca[k:])
+        iroff1 += np.bincount(o, sound & (np.abs(val[sel] - area12) <= 1e-5 * np.abs(area12))
+                              & (err12 >= 0.99 * err[sel]), n)
+        iroff2 += np.bincount(o, sound & (npan[o] >= 10) & (err12 > err[sel]), n)
+        narrow = (np.maximum(np.abs(a), np.abs(b))
+                  <= (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY))
+        stalled |= (iroff1 >= 6) | (iroff2 >= 20) | (np.bincount(o, narrow, n) > 0)
+        npan += np.bincount(o, minlength=n)
+        keep = np.ones(lo.size, dtype=bool)
+        keep[sel] = False
+        lo = np.concatenate([lo[keep], a, mid])
+        hi = np.concatenate([hi[keep], mid, b])
+        own = np.concatenate([own[keep], o, o])
+        val = np.concatenate([val[keep], cv])
+        err = np.concatenate([err[keep], ce])
+        asc = np.concatenate([asc[keep], ca])
+
+
 def integrate_radial_angular(
     kernel,
     tol: float,
@@ -312,39 +433,36 @@ def integrate_radial_angular(
 ) -> QuadratureResult:
     """2pi * int_0^inf dp p^2 int_{-1}^{1} dt kernel(p, t), to ~tol.
 
-    The azimuthal 2pi is applied internally. ``inner_points``, if given,
-    maps p to a list of interior t-breakpoints (e.g. the removable
-    coincidence point of a difference-quotient kernel) that the angular
-    panels should honor.
+    ``kernel`` must accept numpy arrays: it is called with a column of
+    shell momenta p, shape (n, 1), and the angular abscissae t, shape
+    (n, 21), and its values are broadcast to the shape of t. Each outer
+    Gauss-Kronrod panel in p hands its 21 shells to the angular step
+    together. The azimuthal 2pi is applied internally. ``inner_points``,
+    if given, maps a float p to a list of interior t-breakpoints (e.g.
+    the removable coincidence point of a difference-quotient kernel) that
+    the angular panels should honor. ``evaluations`` counts the kernel's
+    abscissae.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
     inner_evals = 0
 
-    def shell(p):
+    def shells(ps):
+        # ps are interior nodes of outer panels on [0, x_cut], never 0
         nonlocal inner_evals
-        if p == 0.0:
-            return 0.0
-        pts = None
-        if inner_points is not None:
-            pts = [t for t in (inner_points(p) or ()) if -1.0 < t < 1.0]
-            pts = pts or None
-        g = _Counted(functools.partial(kernel, p))
-        inner_abs = 1e-4 * tol / max(p * p, 1.0)
-        val, _ = _quad(g, -1.0, 1.0, epsabs=inner_abs, epsrel=1e-10,
-                       limit=200, points=pts)
-        inner_evals += g.n
-        return p * p * val
+        vals, n = _angular_shells(kernel, ps, 1e-4 * tol / np.maximum(ps * ps, 1.0), inner_points)
+        inner_evals += n
+        return ps * ps * vals
 
     outer = integrate_semi_infinite(
-        shell, decay_scale, tol / (2.0 * math.pi) * 0.5,
+        _Counted(shells, batch=True), decay_scale, tol / (2.0 * math.pi) * 0.5,
         rel_tol=rel_tol,
     )
     err = 2.0 * math.pi * outer.error_estimate + 0.01 * tol
     value = 2.0 * math.pi * outer.value
     converged = err <= tol or (rel_tol is not None and err <= rel_tol * abs(value))
     return QuadratureResult(value=value, error_estimate=err,
-                            evaluations=outer.evaluations + inner_evals, converged=converged)
+                            evaluations=inner_evals, converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,12 @@ class TestMainInProcess:
         assert cli.main(["screening", "--config", str(p), "--quiet"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_cold_polarization_passes_static_identity(self, tmp_path):
+        # at beta = 20 the kernel is ~6e-11, below the absolute tolerance
+        p = tmp_path / "cold.cfg"
+        p.write_text("subcommand=polarization\nparams.beta=20.0\n")
+        assert cli.main(["polarization", "--config", str(p), "--quiet"]) == 0
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["debye", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "config error" in capsys.readouterr().err

@@ -124,6 +124,16 @@ class TestSiRoute:
         b = debye_mass_sq_si(tp, UnitSystem(epsilon0=2.0), 1e-13).m_d_sq
         assert b == pytest.approx(0.5 * a, rel=1e-12)
 
+    @pytest.mark.parametrize("beta_m", [30.0, 100.0])
+    def test_deeply_suppressed_regime_keeps_relative_accuracy(self, beta_m):
+        # an absolute tol would round these 2.3e-15 and 4.8e-46 down to 0
+        tp = ThermalParams(beta=beta_m, mass=1.0)
+        units = UnitSystem()
+        got = debye_mass_sq_si(tp, units).m_d_sq
+        pref = units.hbar * units.c / units.epsilon0
+        assert got == pytest.approx(pref * debye_mass_sq_series(tp).m_d_sq, rel=1e-12)
+        assert got > 0.0
+
     def test_rejects_bad_units(self):
         with pytest.raises(ValueError):
             UnitSystem(hbar=0.0)

@@ -96,6 +96,23 @@ class TestSourceFourier:
     def test_negative_momentum_rejected(self):
         with pytest.raises(ValueError):
             source_fourier(SourceSpec.gaussian(1.0), -0.1)
+        with pytest.raises(ValueError):
+            source_fourier(SourceSpec.gaussian(1.0), np.array([0.5, -0.1]))
+
+    @pytest.mark.parametrize("src", [
+        SourceSpec.smoothed_point(0.3, 1.7),
+        SourceSpec.gaussian(2.0, -0.4),
+        SourceSpec.uniform_ball(5.0, 3.0),
+    ])
+    def test_array_matches_scalar(self, src):
+        # p * width from 1e-5 to 20, across the ball's series switch at 1e-2
+        p = np.concatenate([[0.0], np.geomspace(1e-5, 20.0, 400)]) / src.width
+        got = source_fourier(src, p)
+        assert got.shape == p.shape
+        for x, v in zip(p, got):
+            one = source_fourier(src, float(x))
+            assert type(one) is float
+            assert v == pytest.approx(one, rel=1e-15, abs=1e-300)
 
 
 class TestYukawaReference:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as _scipy_quad
 
+from debye_screen import polarization
 from debye_screen.debye import debye_mass_sq
 from debye_screen.errors import (
     InfraredDivergenceError,
@@ -23,7 +24,7 @@ from debye_screen.polarization import (
     f_hat_temporal,
     scan_kernel,
 )
-from debye_screen.specfun import ThermalParams
+from debye_screen.specfun import ThermalParams, fermi_factor, fermi_factor_prime
 
 UNIT = ThermalParams(beta=1.0, mass=1.0)
 # square Debye mass at beta = m = e = 1, frozen from the series route
@@ -62,6 +63,76 @@ def midpoint_kernel_oracle(channel, pt, beta, m, e=1.0, cut=45.0, n_p=3000, n_t=
     return sign * 2.0 * np.pi * total * e * e / (4.0 * math.pi ** 3)
 
 
+def scalar_quotient(p, t, pt, params, sign):
+    """The kernel quotient at one (p, t), in floats: the scalar closure that
+    the numpy kernel replaced, transcribed."""
+    beta, m = params.beta, params.mass
+    wp2 = m * m + p * p
+    wp = math.sqrt(wp2)
+    dot = pt * p * t
+    wk2 = wp2 + pt * pt + 2.0 * dot
+    wk = math.sqrt(wk2)
+    e_shared = wp2 + dot
+    if abs(wp - wk) < 1e-6 * (wp + wk):
+        wb = 0.5 * (wp + wk)
+        f = fermi_factor(beta, wb)
+        fp = fermi_factor_prime(beta, wb)
+        nu = 0.5 * pt * pt
+        if sign > 0.0:
+            return nu * f / (wb * wb) / (2.0 * wb) + (wb + e_shared / wb) * fp / (2.0 * wb)
+        return nu * (fp / wb - f / (wb * wb)) / (2.0 * wb) + f / wb
+    den = -pt * (pt + 2.0 * p * t)
+    fp_, fk_ = fermi_factor(beta, wp), fermi_factor(beta, wk)
+    if sign > 0.0:
+        num_p = (wp2 + e_shared) * fp_ / wp
+        num_k = (wk2 + e_shared) * fk_ / wk
+    else:
+        num_p = -dot * fp_ / wp
+        num_k = pt * (pt + p * t) * fk_ / wk
+    return (num_p - num_k) / den
+
+
+class TestKernelQuotient:
+    PT = 0.7
+
+    def points(self, mass):
+        """Random (p, t), and points around the coincidence set t* = -pt/(2p):
+        within 1e-7 of it, and either side of the switch to the limit branch."""
+        rng = np.random.default_rng(5)
+        p = rng.uniform(0.05, 6.0, 200)
+        t = rng.uniform(-1.0, 1.0, 200)
+        pn = rng.uniform(0.55 * self.PT, 6.0, 60)
+        ts = -self.PT / (2.0 * pn)
+        # |w_p - w_k| = 1e-6 (w_p + w_k) at |t - t*| ~ 2e-6 w_p^2 / (p pt)
+        switch = 2e-6 * (mass * mass + pn * pn) / (pn * self.PT)
+        side = np.where(rng.random(60) < 0.5, -1.0, 1.0)
+        near = ts + 1e-7 * rng.uniform(-1.0, 1.0, 60)
+        inside = ts + side * switch * (1.0 - 1e-3)
+        outside = ts + side * switch * (1.0 + 1e-3)
+        return (np.concatenate([p, pn, pn, pn]), np.concatenate([t, near, inside, outside]),
+                np.concatenate([np.full(260, 1e-12), np.full(120, 1e-8)]))
+
+    @pytest.mark.parametrize("channel", ["temporal", "spatial"])
+    @pytest.mark.parametrize("mass", [0.0, 1.0])
+    def test_matches_scalar_transcription(self, channel, mass):
+        params = ThermalParams(beta=1.3, mass=mass)
+        sign = 1.0 if channel == "temporal" else -1.0
+        p, t, rel = self.points(mass)
+        got = polarization._kernel_quotient(p, t, self.PT, params, sign)
+        want = np.array([scalar_quotient(a, b, self.PT, params, sign) for a, b in zip(p, t)])
+        # the direct quotient next to the switch cancels ~6 digits, so there
+        # a last-bit difference of exp between numpy and math is amplified
+        assert np.all(np.abs(got - want) <= rel * np.abs(want))
+
+    def test_broadcasts_a_column_of_shells(self):
+        p = np.array([[0.3], [1.1], [2.4]])
+        t = np.linspace(-0.9, 0.9, 21)[None, :] * np.ones((3, 1))
+        got = polarization._kernel_quotient(p, t, self.PT, UNIT, 1.0)
+        assert got.shape == (3, 21)
+        assert got[1, 4] == pytest.approx(
+            scalar_quotient(1.1, t[1, 4], self.PT, UNIT, 1.0), rel=1e-12)
+
+
 class TestTemporalKernel:
     def test_zero_momentum_is_minus_square_debye_mass(self):
         got = f_hat_temporal(0.0, UNIT, 1e-10)
@@ -77,6 +148,18 @@ class TestTemporalKernel:
         orders = [math.log2(a / b) for a, b in zip(gaps, gaps[1:])]
         assert all(o >= 1.0 for o in orders)
         assert gaps[-1] < 1e-4
+
+    @pytest.mark.parametrize("beta, mass", [(20.0, 1.0), (0.1, 1.0), (1.0, 0.0)],
+                             ids=["cold", "hot", "massless"])
+    def test_static_identity_in_every_regime(self, beta, mass):
+        # f_hat(0+) by Richardson extrapolation, as the CLI checks it; in
+        # the cold regime f_hat ~ 6e-11 sits far below the absolute tol
+        params = ThermalParams(beta=beta, mass=mass)
+        m_d_sq = debye_mass_sq(params, 1e-8).m_d_sq
+        h = 0.2 * math.sqrt(m_d_sq)
+        f1 = f_hat_temporal(h, params, 1e-8)
+        f2 = f_hat_temporal(h / 2.0, params, 1e-8)
+        assert abs((4.0 * f2 - f1) / 3.0 + m_d_sq) <= 1e-4 * m_d_sq
 
     def test_matches_fixed_grid_oracle(self):
         got = f_hat_temporal(0.5, UNIT, 1e-8)

@@ -15,7 +15,7 @@ from debye_screen.quadrature import (
     sine_transform_radial,
 )
 from debye_screen.quadrature import TestProfile as GaussianTestProfile
-from debye_screen.quadrature import _quad
+from debye_screen.quadrature import _XK_ROW, _Counted, _gk21, _gk21_rows, _quad
 
 
 class TestSemiInfinite:
@@ -106,15 +106,15 @@ class TestGaussKronrod:
 
 class TestRadialAngular:
     def test_gaussian_ball(self):
-        res = integrate_radial_angular(lambda p, t: math.exp(-p * p), 1e-9)
+        res = integrate_radial_angular(lambda p, t: np.exp(-p * p), 1e-9)
         assert res.value == pytest.approx(math.pi ** 1.5, abs=1e-9)
 
     def test_odd_angular_vanishes(self):
-        res = integrate_radial_angular(lambda p, t: t * math.exp(-p), 1e-10)
+        res = integrate_radial_angular(lambda p, t: t * np.exp(-p), 1e-10)
         assert res.value == pytest.approx(0.0, abs=1e-10)
 
     def test_angle_weighted(self):
-        res = integrate_radial_angular(lambda p, t: math.exp(-p * p) * (1.0 + t * t), 1e-9)
+        res = integrate_radial_angular(lambda p, t: np.exp(-p * p) * (1.0 + t * t), 1e-9)
         assert res.value == pytest.approx(math.pi ** 1.5 * 4.0 / 3.0, abs=1e-8)
 
     def test_difference_quotient_matches_limit_kernel(self):
@@ -122,26 +122,72 @@ class TestRadialAngular:
         # with the analytic limit h'(w)/(2w) on the coincidence set
         beta = 1.0
 
-        h = lambda w: math.exp(-beta * w)
-        dh = lambda w: -beta * math.exp(-beta * w)
+        h = lambda w: np.exp(-beta * w)
+        dh = lambda w: -beta * np.exp(-beta * w)
 
         def quotient_kernel(p, t):
-            wp = math.hypot(p, 1.0)
+            wp = np.hypot(p, 1.0)
             wk = wp  # coincidence set exactly
-            return removable_quotient(h, dh, wp, wk) * math.exp(-p)
+            return removable_quotient(h, dh, wp, wk) * np.exp(-p)
 
         def limit_kernel(p, t):
-            w = math.hypot(p, 1.0)
-            return -beta * math.exp(-beta * w) / (2.0 * w) * math.exp(-p)
+            w = np.hypot(p, 1.0)
+            return -beta * np.exp(-beta * w) / (2.0 * w) * np.exp(-p)
 
         a = integrate_radial_angular(quotient_kernel, 1e-9)
         b = integrate_radial_angular(limit_kernel, 1e-9)
         assert a.value == pytest.approx(b.value, rel=1e-9)
 
+    def test_evaluations_count_the_kernel_abscissae(self):
+        seen = []
+
+        def kernel(p, t):
+            seen.append(np.broadcast(p, t).size)
+            return np.exp(-p * p) * (1.0 + t * t)
+
+        res = integrate_radial_angular(kernel, 1e-9, inner_points=lambda p: (-0.4, 0.3))
+        assert res.evaluations == sum(seen) > 0
+
+    def test_nonfinite_kernel_names_the_abscissa(self):
+        def kernel(p, t):
+            return np.where(t > 0.5, np.nan, np.exp(-p * p))
+
+        with pytest.raises(IntegrandError) as exc:
+            integrate_radial_angular(kernel, 1e-9)
+        p, t = exc.value.abscissa
+        assert p > 0.0 and t > 0.5
+
+
+class TestBatchedPanelRule:
+    FUNCS = {
+        # error set by the Kronrod-Gauss difference
+        "oscillating": lambda x: np.exp(-x * x) * np.cos(3.0 * x),
+        "runge": lambda x: 1.0 / (1.0 + 25.0 * x * x),
+        # error at the rounding floor 50 eps resabs, resasc at rounding level
+        "constant": lambda x: 2.5 + 0.0 * x,
+    }
+
+    @pytest.mark.parametrize("name", sorted(FUNCS))
+    def test_rows_match_scalar_rule(self, name):
+        f = self.FUNCS[name]
+        rng = np.random.default_rng(11)
+        a = rng.uniform(-3.0, 1.0, 40)
+        b = a + rng.uniform(1e-3, 4.0, 40)
+        h = 0.5 * (b - a)
+        x = (0.5 * (a + b))[:, None] + h[:, None] * _XK_ROW
+        val, err, asc = _gk21_rows(f(x), h)
+        for i in range(a.size):
+            v, e, _, _, s = _gk21(_Counted(lambda y: float(f(y))), a[i], b[i])
+            assert val[i] == pytest.approx(v, rel=1e-14, abs=1e-300)
+            assert asc[i] == pytest.approx(s, rel=1e-12, abs=1e-14 * abs(v))
+            # the estimate is a difference of two sums, so it carries
+            # their rounding: relative to the panel's mass, not to itself
+            assert err[i] == pytest.approx(e, rel=1e-9, abs=1e-13 * abs(v))
+
 
 class TestRemovableQuotient:
-    H = staticmethod(lambda w: math.exp(-w))
-    DH = staticmethod(lambda w: -math.exp(-w))
+    H = staticmethod(lambda w: np.exp(-w))
+    DH = staticmethod(lambda w: -np.exp(-w))
 
     def test_far_from_coincidence(self):
         # (e^{-2} - e^{-1})/(4 - 1)
