@@ -71,7 +71,6 @@ from .quadrature import (
     integrate_radial_angular,
     integrate_semi_infinite,
     monte_carlo_6d,
-    removable_quotient,
     sine_transform_radial,
 )
 from .specfun import (
@@ -94,7 +93,7 @@ __all__ = [
     # quadrature and transforms
     "QuadratureResult", "TestProfile", "integrate_semi_infinite",
     "integrate_radial_angular", "sine_transform_radial", "monte_carlo_6d",
-    "CubicBallSampler", "removable_quotient",
+    "CubicBallSampler",
     # square Debye mass routes
     "DebyeResult", "UnitSystem", "debye_mass_sq", "debye_mass_sq_series",
     "debye_mass_sq_integral", "debye_mass_sq_massless", "debye_mass_sq_si",

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .debye import (
-    UnitSystem,
     debye_length,
     debye_mass_sq,
     debye_mass_sq_integral,
@@ -86,7 +85,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Tolerances:
     quadrature: float = 1e-8
-    series: float = 1e-10
     fit_r_lo: float = 6.0    # decay fit window, units of 1/mass
     fit_r_hi: float = 14.0
 
@@ -127,7 +125,6 @@ class KernelRequest:
 class RunConfig:
     subcommand: str
     params: ThermalParams = ThermalParams(beta=1.0, mass=1.0)
-    units: UnitSystem = UnitSystem()
     tolerances: Tolerances = Tolerances()
     grids: Grids = Grids()
     seed: int = 42
@@ -141,10 +138,8 @@ class RunConfig:
                 f"subcommand must be one of {SUBCOMMANDS}, got {self.subcommand!r}",
                 key="subcommand")
         t = self.tolerances
-        for name in ("quadrature", "series"):
-            if not (getattr(t, name) > 0.0):
-                raise ConfigError("tolerances must be > 0",
-                                  key=f"tolerances.{name}")
+        if not (t.quadrature > 0.0):
+            raise ConfigError("tolerances must be > 0", key="tolerances.quadrature")
         if not (0.0 < t.fit_r_lo < t.fit_r_hi):
             raise ConfigError("fit window needs 0 < fit_r_lo < fit_r_hi",
                               key="tolerances.fit_r_lo")
@@ -167,7 +162,6 @@ class RunConfig:
 
 _SECTIONS = (
     ("params", "params", ThermalParams),
-    ("units", "units", UnitSystem),
     ("tolerances", "tolerances", Tolerances),
     ("grids", "grids", Grids),
     ("output", "output", OutputSpec),
@@ -641,8 +635,7 @@ def _write_csv(path: str, config: RunConfig, art: Artifacts) -> None:
     lines = [
         f"# {config.subcommand} results",
         f"# config_sha256={_config_sha256(config)}",
-        f"# tolerance.quadrature={_fmt(config.tolerances.quadrature, prec)}"
-        f" tolerance.series={_fmt(config.tolerances.series, prec)}",
+        f"# tolerance.quadrature={_fmt(config.tolerances.quadrature, prec)}",
         f"# units: {art.csv_units}",
         ",".join(art.csv_header),
     ]

@@ -12,12 +12,10 @@ pass confirms the convergence of the triple-cubic 6D integral.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import worker_count
 from .errors import StripViolationError
 from .quadrature import (
     CubicBallSampler,
@@ -125,8 +123,7 @@ def thermal_kernel_imag(u: float, z_mag: float, channel: str,
 
     if channel == "spatial_p":
         # p j_1(pz) reduction: sin and cos lobes with different powers
-        v1, _e1, _n1, _a1 = _osc_integral(
-            lambda p: core(p), z_mag, "sin", tol)
+        v1, _e1, _n1, _a1 = _osc_integral(core, z_mag, "sin", tol)
         v2, _e2, _n2, _a2 = _osc_integral(
             lambda p: p * core(p), z_mag, "cos", tol)
         return v1 / (z_mag * z_mag) - v2 / z_mag
@@ -340,12 +337,7 @@ def verify_bound_ratio(kernel_config: KernelConfig, bound_config: BoundConfig,
         b = math.exp(-bc.mass * sep) if bc.mass > 0.0 else (1.0 + sep) ** -3
         return sep, abs(k), b
 
-    workers = min(worker_count(), len(zs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(one, zs))
-    else:
-        rows = [one(z) for z in zs]
+    rows = [one(z) for z in zs]
 
     seps, ratios, excluded = [], [], []
     for sep, k_abs, b in rows:

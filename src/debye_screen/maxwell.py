@@ -11,12 +11,10 @@ Yukawa propagator) and the full momentum-dependent kernel.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import worker_count
 from .debye import debye_mass_sq
 from .errors import PoleDetectedError
 from .polarization import scan_kernel
@@ -205,21 +203,6 @@ def _full_denominator_model(params: ThermalParams, m_d_sq: float, tol: float):
     return den, {"cutoff": cut, "scan_points": n_nodes}
 
 
-def _transform_radii(f, r_grid, tol: float) -> list[float]:
-    # independent radii; strided chunks balance the work, order restored after
-    rg = [float(r) for r in r_grid]
-    workers = min(worker_count(), len(rg))
-    if workers <= 1:
-        return sine_transform_radial(f, rg, tol)
-    chunks = [rg[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        outs = list(ex.map(lambda ch: sine_transform_radial(f, ch, tol), chunks))
-    vals = [0.0] * len(rg)
-    for i, chunk_vals in enumerate(outs):
-        vals[i::workers] = chunk_vals
-    return vals
-
-
 def screening_profile(source: SourceSpec, params: ThermalParams, mode: str,
                       r_grid=None, tol: float = 1e-7) -> RadialProfile:
     """Screened potential A(r) of a classical source by spectral division.
@@ -260,7 +243,7 @@ def screening_profile(source: SourceSpec, params: ThermalParams, mode: str,
         out = source_fourier(source, pv) / den(pv)
         return float(out[0]) if scalar else out
 
-    values = _transform_radii(integrand, r_grid, tol)
+    values = sine_transform_radial(integrand, r_grid, tol)
     return RadialProfile(
         r_grid=tuple(r_grid), values=tuple(values), mode=mode,
         source=source, params_snapshot=params, tolerances=diagnostics)

@@ -4,17 +4,18 @@ Four workhorses used throughout the package:
 
 * adaptive semi-infinite integrals with a rigorous tail bound,
 * 2D radial-angular momentum integrals with removable-singularity
-  handling delegated to the caller's kernel (see
-  :func:`removable_quotient`),
+  handling delegated to the caller's kernel,
 * oscillatory radial sine transforms, partitioned at the trig zeros and
   accelerated by repeated averaging of the alternating partial sums
   (Euler transformation),
 * plain Monte Carlo in 6 dimensions with a deterministic, chunked
   importance sampler.
 
-Integrand callables handed to the radial-angular, oscillatory and Monte
-Carlo routines must accept numpy arrays elementwise; the semi-infinite
-routine feeds floats.
+Integrand callables handed to the radial-angular and oscillatory
+routines must accept numpy arrays elementwise; there is no scalar
+fallback, so a float-only integrand raises. The Monte Carlo integrand
+maps two (n, 3) blocks of points to n values. The semi-infinite routine
+feeds floats.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import worker_count
 from .errors import IntegrandError, SamplerMismatchError
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "sine_transform_radial",
     "monte_carlo_6d",
     "CubicBallSampler",
-    "removable_quotient",
 ]
 
 
@@ -81,27 +81,6 @@ class TestProfile:
         p = np.asarray(p, dtype=float)
         out = np.exp(-0.5 * (p / self.width) ** 2)
         return out if out.shape else float(out)
-
-
-def removable_quotient(h, dh, w1, w2, den=None):
-    """(h(w1) - h(w2)) / (w1^2 - w2^2) with a Taylor branch at coincidence.
-
-    Elementwise over numpy arrays; h and dh must accept arrays. Where
-    |w1 - w2| < 1e-6 (w1 + w2) the direct quotient is 0/0-noisy, so the
-    analytic limit dh(w)/(2w) at the midpoint is used instead. ``den``
-    optionally supplies w1^2 - w2^2 computed in exact arithmetic by the
-    caller (useful when the squares difference telescopes). Scalar
-    inputs give a float.
-    """
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    near = np.abs(w1 - w2) < 1e-6 * (w1 + w2)
-    wm = 0.5 * (w1 + w2)
-    if den is None:
-        den = (w1 - w2) * (w1 + w2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(near, dh(wm) / (2.0 * wm), (h(w1) - h(w2)) / den)
-    return out if out.ndim else float(out)
 
 
 class _Counted:
@@ -472,17 +451,6 @@ def integrate_radial_angular(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
-def _vectorized(f):
-    """Return an array-capable version of f, probing once."""
-    try:
-        out = f(np.array([0.3, 0.7]))
-        if np.shape(out) == (2,):
-            return f
-    except Exception:
-        pass
-    return lambda arr: np.array([f(float(x)) for x in np.atleast_1d(arr)])
-
-
 def _euler_tail(terms: np.ndarray) -> tuple[float, float]:
     """Sum an alternating tail by repeated averaging of partial sums."""
     row = np.cumsum(terms)
@@ -505,7 +473,6 @@ def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int
     entry is the unsigned mass the lobe sums moved through, which sets
     the rounding floor of the cancellation.
     """
-    gv = _vectorized(g)
     half = math.pi / r
 
     def lobe_edges(j):
@@ -524,7 +491,7 @@ def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int
         x = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
         w = 0.5 * (b - a) * _GL_WEIGHTS
         osc = np.sin(x * r) if kind == "sin" else np.cos(x * r)
-        vals = np.asarray(gv(x), dtype=float) * osc
+        vals = np.asarray(g(x), dtype=float) * osc
         if not np.all(np.isfinite(vals)):
             bad = x[~np.isfinite(vals)][0]
             raise IntegrandError(f"oscillatory integrand not finite near p={bad}", abscissa=bad)
@@ -621,7 +588,7 @@ def sine_transform_radial(f_hat, r_grid, tol: float) -> list[float]:
     A(r) = (1/(2 pi^2 r)) int_0^inf p sin(p r) f_hat(p) dp for each r in
     ``r_grid``. f_hat must be bounded, continuous on (0, inf) and decay
     at least like p^-2; a probe at two large momenta rejects slower
-    decay up front.
+    decay up front. f_hat is called with numpy arrays of momenta.
     """
     vals, _errs, _n = _sine_transform_diag(f_hat, r_grid, tol)
     return vals
@@ -634,10 +601,8 @@ def _sine_transform_diag(f_hat, r_grid, tol: float):
     rg = [float(r) for r in r_grid]
     if any(r <= 0.0 for r in rg):
         raise ValueError("all radii must be > 0")
-    fv = _vectorized(f_hat)
-
     p1, p2 = 1.0e4, 1.0e6
-    probe = np.asarray(fv(np.array([p1, p2])), dtype=float)
+    probe = np.asarray(f_hat(np.array([p1, p2])), dtype=float)
     if not np.all(np.isfinite(probe)):
         raise IntegrandError("f_hat not finite at the decay probes", abscissa=p1)
     if abs(probe[1]) * p2 * p2 > 4.0 * (abs(probe[0]) * p1 * p1) + 1e-290:
@@ -649,7 +614,7 @@ def _sine_transform_diag(f_hat, r_grid, tol: float):
     values, errs = [], []
     total_evals = 0
     for r in rg:
-        v, e, n, acc = _osc_integral(lambda p: np.asarray(fv(p)) * p, r, "sin", tol)
+        v, e, n, acc = _osc_integral(lambda p: np.asarray(f_hat(p)) * p, r, "sin", tol)
         if e > tol * abs(v) and 5e-16 * acc >= 0.25 * e:
             # the error is the rounding floor of a deep cancellation, not
             # a truncation artifact: double precision is exhausted, so
@@ -751,10 +716,13 @@ class CubicBallSampler:
 def monte_carlo_6d(integrand, sampler, n_samples: int, seed: int) -> QuadratureResult:
     """Importance-sampled MC estimate of int int d3x d3y integrand(x, y).
 
-    Deterministic for a fixed seed regardless of worker count: the
-    sample range is partitioned into fixed-size chunks, each driven by
-    its own spawned SeedSequence, and the per-chunk partials are
-    combined in index order.
+    ``integrand(xs, ys)`` is called once per chunk with two (n, 3) blocks
+    of points and must return shape (n,); anything else raises
+    ValueError. Chunks run on one thread per CPU, up to the chunk count.
+    The result is deterministic for a fixed seed regardless of that
+    count: the sample range is partitioned into fixed-size chunks, each
+    driven by its own spawned SeedSequence, and the per-chunk partials
+    are combined in index order.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -762,33 +730,22 @@ def monte_carlo_6d(integrand, sampler, n_samples: int, seed: int) -> QuadratureR
     n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
 
-    # accept either a pair-of-3-vectors integrand or one vectorized over
-    # (n, 3) blocks; probe once
-    probe = np.full((2, 3), 0.25)
-    try:
-        out = integrand(probe, probe)
-        batched = np.shape(out) == (2,)
-    except Exception:
-        batched = False
-    if batched:
-        f_block = integrand
-    else:
-        def f_block(xs, ys):
-            return np.array([integrand(xi, yi) for xi, yi in zip(xs, ys)])
-
     def run_chunk(i):
         n = min(_MC_CHUNK, n_samples - i * _MC_CHUNK)
         rng = np.random.Generator(np.random.PCG64(children[i]))
         x, y, q = sampler.draw(rng, n)
         if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
             raise SamplerMismatchError("sampler density not strictly positive on its own draw")
-        f = np.asarray(f_block(x, y), dtype=float)
+        f = np.asarray(integrand(x, y), dtype=float)
+        if f.shape != (n,):
+            raise ValueError(
+                f"integrand must map two ({n}, 3) blocks to shape ({n},), got {f.shape}")
         if np.any(f < 0.0):
             raise ValueError("integrand must be nonnegative")
         w = f / q
         return float(np.sum(w)), float(np.sum(w * w)), n
 
-    workers = min(worker_count(), n_chunks)
+    workers = min(os.cpu_count() or 1, n_chunks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
             partials = list(ex.map(run_chunk, range(n_chunks)))

@@ -8,7 +8,6 @@ gate rather than slipping through.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -285,11 +284,8 @@ def test_12_bessel_base():
 
 
 def _cli(args, cwd):
-    env = dict(os.environ)
-    env.setdefault("DEBYE_SCREEN_THREADS", "2")
     return subprocess.run([sys.executable, "-m", "debye_screen.cli", *args],
-                          cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=120)
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
 
 
 def test_13_cli_determinism_and_exit_codes(tmp_path):

@@ -250,15 +250,6 @@ class TestZerothOrderProfiles:
                                  "zeroth_order", [1.0, 4.0, 12.0], 1e-7)
         assert prof.values[0] > prof.values[1] > prof.values[2] > 0.0
 
-    def test_worker_count_does_not_change_values(self, monkeypatch):
-        rs = list(np.geomspace(0.2, 10.0, 13))
-        src = SourceSpec.gaussian(0.7)
-        monkeypatch.setenv("DEBYE_SCREEN_THREADS", "1")
-        serial = screening_profile(src, UNIT, "zeroth_order", rs, 1e-8)
-        monkeypatch.setenv("DEBYE_SCREEN_THREADS", "5")
-        threaded = screening_profile(src, UNIT, "zeroth_order", rs, 1e-8)
-        assert serial.values == threaded.values
-
     def test_domain_errors(self):
         src = SourceSpec.gaussian(1.0)
         with pytest.raises(ValueError):

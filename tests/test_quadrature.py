@@ -1,9 +1,8 @@
 import math
-import os
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from debye_screen.errors import IntegrandError, SamplerMismatchError
 from debye_screen.quadrature import (
@@ -11,7 +10,6 @@ from debye_screen.quadrature import (
     integrate_radial_angular,
     integrate_semi_infinite,
     monte_carlo_6d,
-    removable_quotient,
     sine_transform_radial,
 )
 from debye_screen.quadrature import TestProfile as GaussianTestProfile
@@ -117,27 +115,6 @@ class TestRadialAngular:
         res = integrate_radial_angular(lambda p, t: np.exp(-p * p) * (1.0 + t * t), 1e-9)
         assert res.value == pytest.approx(math.pi ** 1.5 * 4.0 / 3.0, abs=1e-8)
 
-    def test_difference_quotient_matches_limit_kernel(self):
-        # (h(w_p) - h(w_k))/(w_p^2 - w_k^2) with h = exp(-beta w) must agree
-        # with the analytic limit h'(w)/(2w) on the coincidence set
-        beta = 1.0
-
-        h = lambda w: np.exp(-beta * w)
-        dh = lambda w: -beta * np.exp(-beta * w)
-
-        def quotient_kernel(p, t):
-            wp = np.hypot(p, 1.0)
-            wk = wp  # coincidence set exactly
-            return removable_quotient(h, dh, wp, wk) * np.exp(-p)
-
-        def limit_kernel(p, t):
-            w = np.hypot(p, 1.0)
-            return -beta * np.exp(-beta * w) / (2.0 * w) * np.exp(-p)
-
-        a = integrate_radial_angular(quotient_kernel, 1e-9)
-        b = integrate_radial_angular(limit_kernel, 1e-9)
-        assert a.value == pytest.approx(b.value, rel=1e-9)
-
     def test_evaluations_count_the_kernel_abscissae(self):
         seen = []
 
@@ -185,32 +162,6 @@ class TestBatchedPanelRule:
             assert err[i] == pytest.approx(e, rel=1e-9, abs=1e-13 * abs(v))
 
 
-class TestRemovableQuotient:
-    H = staticmethod(lambda w: np.exp(-w))
-    DH = staticmethod(lambda w: -np.exp(-w))
-
-    def test_far_from_coincidence(self):
-        # (e^{-2} - e^{-1})/(4 - 1)
-        got = removable_quotient(self.H, self.DH, 2.0, 1.0)
-        want = (math.exp(-2.0) - math.exp(-1.0)) / 3.0
-        assert got == pytest.approx(want, rel=1e-13)
-
-    def test_at_coincidence(self):
-        got = removable_quotient(self.H, self.DH, 1.0, 1.0)
-        assert got == pytest.approx(-math.exp(-1.0) / 2.0, rel=1e-12)
-
-    @given(w=st.floats(0.5, 5.0), eps=st.floats(1e-12, 1e-4))
-    @settings(max_examples=60)
-    def test_continuous_across_switch(self, w, eps):
-        got = removable_quotient(self.H, self.DH, w, w + eps)
-        if eps >= 1e-5 * (2 * w + eps):
-            want = (math.exp(-w) - math.exp(-(w + eps))) / (w * w - (w + eps) ** 2)
-            assert got == pytest.approx(want, rel=1e-5)
-        else:
-            want = -math.exp(-(w + 0.5 * eps)) / (2.0 * (w + 0.5 * eps))
-            assert got == pytest.approx(want, rel=1e-5)
-
-
 class TestSineTransform:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 5.0])
     def test_yukawa_pair(self, mu):
@@ -228,23 +179,36 @@ class TestSineTransform:
         assert v == pytest.approx(0.00072875611625704839808, rel=1e-8)
 
     def test_zero_function(self):
-        vals = sine_transform_radial(lambda p: 0.0, [0.5, 1.0, 2.0], 1e-10)
+        vals = sine_transform_radial(lambda p: np.zeros_like(p), [0.5, 1.0, 2.0], 1e-10)
         assert vals == [0.0, 0.0, 0.0]
 
     def test_gaussian_pair(self):
         for r in (0.3, 1.0, 3.0):
-            v = sine_transform_radial(lambda p: math.exp(-0.5 * p * p), [r], 1e-10)[0]
+            v = sine_transform_radial(lambda p: np.exp(-0.5 * p * p), [r], 1e-10)[0]
             exact = math.exp(-0.5 * r * r) / (2.0 * math.pi) ** 1.5
             assert v == pytest.approx(exact, rel=1e-7)
 
     def test_linearity(self):
         f = lambda p: 1.0 / (p * p + 1.0)
-        g = lambda p: math.exp(-p * p)
+        g = lambda p: np.exp(-p * p)
         both = lambda p: 2.0 * f(p) + 0.5 * g(p)
         a = sine_transform_radial(both, [1.5], 1e-10)[0]
         b = sine_transform_radial(f, [1.5], 1e-10)[0]
         c = sine_transform_radial(g, [1.5], 1e-10)[0]
         assert a == pytest.approx(2.0 * b + 0.5 * c, abs=1e-10)
+
+    def test_scalar_integrand_raises(self):
+        # no per-abscissa fallback: a float-only integrand fails on the
+        # first array it is handed
+        calls = []
+
+        def f(p):
+            calls.append(p)
+            return math.exp(-p * p)
+
+        with pytest.raises(TypeError):
+            sine_transform_radial(f, [1.0], 1e-8)
+        assert len(calls) == 1
 
     def test_slow_decay_rejected(self):
         with pytest.raises(ValueError):
@@ -290,12 +254,14 @@ class TestMonteCarlo:
         )
         assert abs(res.value - (4.0 * math.pi / 3.0) ** 2) < 3.0 * res.error_estimate
 
-    def test_scalar_integrand_supported(self):
+    def test_per_sample_integrand_rejected(self):
+        # a pair-of-3-vectors integrand reduces a whole block to one number
         s = CubicBallSampler()
-        res = monte_carlo_6d(
-            lambda x, y: math.exp(-np.dot(x, x) - np.dot(y, y)), s, 20_000, seed=3
-        )
-        assert abs(res.value - math.pi ** 3) < 4.0 * res.error_estimate
+        with pytest.raises(ValueError, match=r"shape \(20000,\), got \(\)"):
+            monte_carlo_6d(
+                lambda x, y: math.exp(-np.dot(x[0], x[0]) - np.dot(y[0], y[0])),
+                s, 20_000, seed=3,
+            )
 
     def test_seed_reproducible(self):
         s = CubicBallSampler()
@@ -308,17 +274,10 @@ class TestMonteCarlo:
     def test_worker_count_invariance(self):
         s = CubicBallSampler()
         f = lambda x, y: np.exp(-np.sum(x * x, axis=1) - np.sum(y * y, axis=1))
-        old = os.environ.get("DEBYE_SCREEN_THREADS")
-        try:
-            os.environ["DEBYE_SCREEN_THREADS"] = "1"
+        with mock.patch("os.cpu_count", return_value=1):
             a = monte_carlo_6d(f, s, 600_000, seed=5)
-            os.environ["DEBYE_SCREEN_THREADS"] = "4"
+        with mock.patch("os.cpu_count", return_value=4):
             b = monte_carlo_6d(f, s, 600_000, seed=5)
-        finally:
-            if old is None:
-                os.environ.pop("DEBYE_SCREEN_THREADS", None)
-            else:
-                os.environ["DEBYE_SCREEN_THREADS"] = old
         assert a.value == b.value
 
     def test_zero_density_sampler_rejected(self):
