@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StripViolationError
+from .errors import ConvergenceError, StripViolationError
 from .quadrature import (
     CubicBallSampler,
     QuadratureResult,
@@ -123,9 +123,8 @@ def thermal_kernel_imag(u: float, z_mag: float, channel: str,
 
     if channel == "spatial_p":
         # p j_1(pz) reduction: sin and cos lobes with different powers
-        v1, _e1, _n1, _a1 = _osc_integral(core, z_mag, "sin", tol)
-        v2, _e2, _n2, _a2 = _osc_integral(
-            lambda p: p * core(p), z_mag, "cos", tol)
+        v1 = _converged_osc(core, z_mag, "sin", tol)
+        v2 = _converged_osc(lambda p: p * core(p), z_mag, "cos", tol)
         return v1 / (z_mag * z_mag) - v2 / z_mag
 
     if channel == "scalar_m":
@@ -135,8 +134,17 @@ def thermal_kernel_imag(u: float, z_mag: float, channel: str,
         def g(p):
             return omega(p) * core(p)
 
-    v, _e, _n, _acc = _osc_integral(g, z_mag, "sin", tol)
-    return v / z_mag
+    return _converged_osc(g, z_mag, "sin", tol) / z_mag
+
+
+def _converged_osc(g, z_mag: float, kind: str, tol: float) -> float:
+    """_osc_integral's value; raises when it missed tol and its rounding floor."""
+    v, err, _n, acc = _osc_integral(g, z_mag, kind, tol)
+    if err > max(tol * abs(v), 2e-15 * acc):
+        raise ConvergenceError(
+            f"{kind} transform at |z| = {z_mag} did not converge: "
+            f"error {err:.3e} on value {v:.3e}", estimate=v, error_estimate=err)
+    return v
 
 
 @dataclass(frozen=True)

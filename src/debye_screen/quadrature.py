@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrandError, SamplerMismatchError
+from .errors import ConvergenceError, IntegrandError, SamplerMismatchError
 
 __all__ = [
     "QuadratureResult",
@@ -468,65 +468,72 @@ def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int
 
     Lobes between consecutive zeros of the trig factor, 16-point
     Gauss-Legendre each; the first block of lobes is summed directly and
-    the alternating remainder is Euler-accelerated. Returns
-    (value, error_estimate, evaluations, abs_accumulation); the last
-    entry is the unsigned mass the lobe sums moved through, which sets
-    the rounding floor of the cancellation.
+    the alternating remainder is Euler-accelerated. A lobe is bisected,
+    down to depth 10, until its halves agree with the coarser rule to
+    5e-15 of the halves' mass plus the mass summed before the lobe: an
+    absolute rounding floor, so lobes where g has underflowed stop at
+    once. Each block of lobes costs one g call for the lobes, then one per
+    bisection round for the halves of every panel still open; g always
+    gets a 1-D array of momenta. Returns (value, error_estimate,
+    evaluations, abs_accumulation); the last entry is the unsigned mass
+    the lobe sums moved through, which sets the rounding floor of the
+    cancellation.
     """
     half = math.pi / r
-
-    def lobe_edges(j):
-        if kind == "sin":
-            return j * half, (j + 1) * half
-        if j == 0:
-            return 0.0, 0.5 * half
-        return (j - 0.5) * half, (j + 0.5) * half
-
-    lobes: list[float] = []
-    abs_accum = 0.0
+    # cos lobes are centred on the multiples of pi/r, and the first is half a lobe
+    shift = 0.0 if kind == "sin" else 0.5
+    trig = np.sin if kind == "sin" else np.cos
     evals = 0
 
     def gl16(a, b):
         nonlocal evals
-        x = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
-        w = 0.5 * (b - a) * _GL_WEIGHTS
-        osc = np.sin(x * r) if kind == "sin" else np.cos(x * r)
-        vals = np.asarray(g(x), dtype=float) * osc
+        hw = 0.5 * (b - a)[:, None]
+        x = (0.5 * (a + b)[:, None] + hw * _GL_NODES).ravel()
+        vals = np.asarray(g(x), dtype=float) * trig(x * r)
         if not np.all(np.isfinite(vals)):
             bad = x[~np.isfinite(vals)][0]
             raise IntegrandError(f"oscillatory integrand not finite near p={bad}", abscissa=bad)
         evals += x.size
-        return float(np.dot(w, vals)), float(np.dot(np.abs(w), np.abs(vals)))
+        w, vals = hw * _GL_WEIGHTS, vals.reshape(-1, _GL_NODES.size)
+        return np.sum(w * vals, axis=1), np.sum(w * np.abs(vals), axis=1)
 
-    def panel(a, b, v1, m1, depth):
+    def block(lo, hi, accum):
         # the first lobes can be much wider than the integrand's own
-        # scale, so bisect until the embedded estimate agrees at the
-        # rounding level of the local mass
-        mid = 0.5 * (a + b)
-        vl, ml = gl16(a, mid)
-        vr, mr = gl16(mid, b)
-        if abs(v1 - (vl + vr)) <= 5e-15 * (ml + mr + 1e-300) or depth >= 10:
-            return vl + vr, ml + mr
-        vl, ml = panel(a, mid, vl, ml, depth + 1)
-        vr, mr = panel(mid, b, vr, mr, depth + 1)
-        return vl + vr, ml + mr
+        # scale, so bisect every panel whose halves disagree, all open
+        # panels of the block together
+        j = np.arange(lo, hi, dtype=float)
+        a, b = np.maximum(j - shift, 0.0) * half, (j + 1.0 - shift) * half
+        coarse, mass = gl16(a, b)
+        # the absolute floor: the mass summed before each lobe
+        before = accum + np.cumsum(mass) - mass
+        owner = np.arange(hi - lo)
+        value, swept = np.zeros(hi - lo), 0.0
+        for depth in range(11):
+            mid = 0.5 * (a + b)
+            v, m = gl16(np.concatenate((a, mid)), np.concatenate((mid, b)))
+            n = a.size
+            fine, mass = v[:n] + v[n:], m[:n] + m[n:]
+            done = (np.abs(coarse - fine) <= 5e-15 * (mass + before[owner])) | (depth == 10)
+            value += np.bincount(owner[done], fine[done], hi - lo)
+            swept += float(np.sum(mass[done]))
+            if done.all():
+                break
+            open_ = ~done
+            a, b = np.concatenate((a[open_], mid[open_])), np.concatenate((mid[open_], b[open_]))
+            coarse = np.concatenate((v[:n][open_], v[n:][open_]))
+            owner = np.concatenate((owner[open_], owner[open_]))
+        return value, swept
 
-    def compute_through(n):
-        nonlocal abs_accum
-        while len(lobes) < n:
-            a, b = lobe_edges(len(lobes))
-            v1, m1 = gl16(a, b)
-            contrib, mass = panel(a, b, v1, m1, 0)
-            lobes.append(contrib)
-            abs_accum += mass
-
+    lobes = np.empty(0)
+    abs_accum = 0.0
     for n_direct, n_euler in ((16, 32), (32, 64), (96, 128)):
-        compute_through(n_direct + n_euler)
-        arr = np.array(lobes)
+        contrib, mass = block(lobes.size, n_direct + n_euler, abs_accum)
+        lobes = np.concatenate((lobes, contrib))
+        abs_accum += mass
         floor = 5e-16 * abs_accum
-        head = float(np.sum(arr[:n_direct]))
-        tail_terms = arr[n_direct:n_direct + n_euler]
-        scale = max(np.max(np.abs(arr)), 1e-300)
+        head = float(np.sum(lobes[:n_direct]))
+        tail_terms = lobes[n_direct:n_direct + n_euler]
+        scale = max(np.max(np.abs(lobes)), 1e-300)
         if np.all(np.abs(tail_terms[-3:]) < 1e-3 * tol * scale + floor):
             # integrand effectively dead: plain sum is already exact
             value = head + float(np.sum(tail_terms))
@@ -541,14 +548,14 @@ def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int
 
 
 def _osc_integral_mp(g, r: float, kind: str, tol: float):
-    """Big-float rerun of the lobe scheme for deeply cancelled transforms.
+    """Big-float rerun for deeply cancelled transforms.
 
     When the answer is exponentially smaller than the lobe mass (mu*r
     large in a screened profile), double precision cannot resolve it.
-    This reruns the same zero-partition + series-acceleration scheme in
-    arbitrary precision, escalating the working digits until two runs
-    agree to tol relative. Needs g to tolerate big-float inputs; returns
-    (value, error_estimate, evaluations, accepted).
+    This hands the transform to mpmath's ``mp.quadosc`` at 30, 50, 80 and
+    120 digits until two precisions agree to tol relative. Needs g to map
+    big floats to big floats; returns (value, error_estimate,
+    evaluations, accepted).
     """
     try:
         from mpmath import mp
@@ -582,13 +589,26 @@ def _osc_integral_mp(g, r: float, kind: str, tol: float):
         mp.dps = old_dps
 
 
+def _maps_mpf(f_hat, p: float) -> bool:
+    """Whether f_hat maps an mpmath float to one."""
+    from mpmath import mp
+    try:
+        return isinstance(f_hat(mp.mpf(p)), mp.mpf)
+    except TypeError:
+        return False
+
+
 def sine_transform_radial(f_hat, r_grid, tol: float) -> list[float]:
     """Radial inverse 3D Fourier transform of a radial function.
 
     A(r) = (1/(2 pi^2 r)) int_0^inf p sin(p r) f_hat(p) dp for each r in
     ``r_grid``. f_hat must be bounded, continuous on (0, inf) and decay
     at least like p^-2; a probe at two large momenta rejects slower
-    decay up front. f_hat is called with numpy arrays of momenta.
+    decay up front. f_hat is called with numpy arrays of momenta. Where
+    a value is far below the lobe mass that cancels to it, double
+    precision is exhausted and the transform is rerun in mpmath floats;
+    that needs f_hat to map an mpmath float to one. ConvergenceError is
+    raised where a value misses tol and no rerun can mend it.
     """
     vals, _errs, _n = _sine_transform_diag(f_hat, r_grid, tol)
     return vals
@@ -615,15 +635,27 @@ def _sine_transform_diag(f_hat, r_grid, tol: float):
     total_evals = 0
     for r in rg:
         v, e, n, acc = _osc_integral(lambda p: np.asarray(f_hat(p)) * p, r, "sin", tol)
-        if e > tol * abs(v) and 5e-16 * acc >= 0.25 * e:
+        c = 1.0 / (2.0 * math.pi ** 2 * r)
+        if e > tol * abs(v):
+            if 5e-16 * acc < 0.25 * e:
+                raise ConvergenceError(
+                    f"radial transform at r = {r} did not converge: error {c * e:.3e}"
+                    f" on value {c * v:.3e}", estimate=c * v, error_estimate=c * e)
             # the error is the rounding floor of a deep cancellation, not
-            # a truncation artifact: double precision is exhausted, so
-            # rerun in big floats (only helps if f_hat accepts them)
+            # a truncation artifact: double precision is exhausted, and
+            # big floats gain digits only if f_hat computes in them
+            if not _maps_mpf(f_hat, p1):
+                raise ConvergenceError(
+                    f"double precision is exhausted at r = {r}: value {c * v:.3e} has a"
+                    f" rounding error of {c * e:.3e}, and f_hat does not return mpmath"
+                    " floats for a big-float rerun", estimate=c * v, error_estimate=c * e)
             v2, e2, n2, ok = _osc_integral_mp(lambda p: f_hat(p) * p, r, "sin", tol)
             n += n2
-            if ok:
-                v, e = v2, e2
-        c = 1.0 / (2.0 * math.pi ** 2 * r)
+            if not ok:
+                raise ConvergenceError(
+                    f"big-float rerun at r = {r} did not converge", estimate=c * v,
+                    error_estimate=c * e)
+            v, e = v2, e2
         values.append(c * v)
         errs.append(c * e)
         total_evals += n

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from debye_screen import decay
 from debye_screen.decay import (
     BoundConfig,
     GraphSet,
@@ -19,7 +20,7 @@ from debye_screen.decay import (
     thermal_kernel_imag,
     verify_bound_ratio,
 )
-from debye_screen.errors import StripViolationError
+from debye_screen.errors import ConvergenceError, StripViolationError
 from debye_screen.quadrature import TestProfile
 from debye_screen.specfun import ThermalParams
 
@@ -98,6 +99,18 @@ class TestKernel:
             thermal_kernel_imag(0.0, 1.0, "scalar_m", PROF, GROUND)
         # any positive u is inside the ground-state strip
         thermal_kernel_imag(17.0, 1.0, "scalar_m", PROF, GROUND, 1e-6)
+
+    @pytest.mark.parametrize("channel, kind", [
+        ("scalar_m", "sin"), ("temporal_omega", "sin"), ("spatial_p", "sin"), ("spatial_p", "cos")])
+    def test_unconverged_transform_raises(self, monkeypatch, channel, kind):
+        # error 0.5 misses both tol * |value| and the rounding floor 2e-15 * mass
+        def lobes(g, z, k, tol):
+            return (1.0, 0.5, 0, 1.0) if k == kind else (1.0, 0.0, 0, 1.0)
+
+        monkeypatch.setattr(decay, "_osc_integral", lobes)
+        with pytest.raises(ConvergenceError) as info:
+            thermal_kernel_imag(0.7, 1.0, channel, PROF, TP)
+        assert (info.value.estimate, info.value.error_estimate) == (1.0, 0.5)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Screened-potential solver: sources, profiles, Yukawa limits, mode consistency."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.integrate import quad as _scipy_quad
 from scipy.special import erf, erfc
 
 from debye_screen.debye import debye_mass_sq
-from debye_screen.errors import PoleDetectedError
+from debye_screen.errors import ConvergenceError, PoleDetectedError
 from debye_screen.maxwell import (
     DeltaLimitReport,
     RadialProfile,
@@ -189,6 +190,16 @@ class TestZerothOrderProfiles:
         slope = np.polyfit(rg, [math.log(r * v) for r, v in
                                 zip(rg, prof.values)], 1)[0]
         assert -slope == pytest.approx(md, rel=1e-3 * 0.1)
+
+    def test_exhausted_double_precision_raises_quickly(self):
+        # the value sits below its rounding floor, and the profile's
+        # float64 integrand cannot gain digits in a big-float rerun
+        hot = ThermalParams(beta=0.2, mass=1.0)
+        m_d = math.sqrt(debye_mass_sq(hot, 1e-8).m_d_sq)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="double precision is exhausted at r = 19.6"):
+            screening_profile(SourceSpec.gaussian(0.5), hot, "zeroth_order", [40.0 / m_d], 1e-7)
+        assert time.perf_counter() - start < 10.0
 
     def test_unscreened_gaussian_is_erf_profile(self):
         prof = screening_profile(

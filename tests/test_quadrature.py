@@ -4,7 +4,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from debye_screen.errors import IntegrandError, SamplerMismatchError
+from debye_screen import quadrature
+from debye_screen.errors import ConvergenceError, IntegrandError, SamplerMismatchError
 from debye_screen.quadrature import (
     CubicBallSampler,
     integrate_radial_angular,
@@ -13,7 +14,14 @@ from debye_screen.quadrature import (
     sine_transform_radial,
 )
 from debye_screen.quadrature import TestProfile as GaussianTestProfile
-from debye_screen.quadrature import _XK_ROW, _Counted, _gk21, _gk21_rows, _quad
+from debye_screen.quadrature import (
+    _XK_ROW,
+    _Counted,
+    _gk21,
+    _gk21_rows,
+    _quad,
+    _sine_transform_diag,
+)
 
 
 class TestSemiInfinite:
@@ -209,6 +217,39 @@ class TestSineTransform:
         with pytest.raises(TypeError):
             sine_transform_radial(f, [1.0], 1e-8)
         assert len(calls) == 1
+
+    def test_underflowed_lobes_stop_at_the_rounding_floor(self):
+        # Coulomb profile of a unit Gaussian source; beyond p ~ 25 the
+        # integrand has underflowed, and those lobes must not be bisected
+        radii = [0.5, 1.0, 2.0, 4.0, 8.0]
+        vals, _errs, evals = _sine_transform_diag(
+            lambda p: np.exp(-0.5 * p * p) / (p * p), radii, 1e-9)
+        for r, v in zip(radii, vals):
+            exact = math.erf(r / math.sqrt(2.0)) / (4.0 * math.pi * r)
+            assert v == pytest.approx(exact, rel=1e-12)
+        assert evals <= 5000 * len(radii)
+
+    def test_nonfinite_integrand_names_the_abscissa(self):
+        # NaN at the sixth Gauss-Legendre node of the fourth lobe at r = 1
+        node = 3.5 * math.pi + 0.5 * math.pi * np.polynomial.legendre.leggauss(16)[0][5]
+
+        def f(p):
+            return np.where(np.abs(p - node) < 1e-9, np.nan, np.exp(-p * p))
+
+        with pytest.raises(IntegrandError) as info:
+            sine_transform_radial(f, [1.0], 1e-8)
+        assert info.value.abscissa == pytest.approx(node, abs=1e-12)
+
+    @pytest.mark.parametrize("patch, fake, match", [
+        # a lobe sum that missed tol by truncation
+        ("_osc_integral", (1.0, 0.5, 0, 1.0), "did not converge"),
+        # a deep cancellation whose big-float rerun gave up
+        ("_osc_integral_mp", (0.0, math.inf, 0, False), "big-float rerun"),
+    ])
+    def test_unconverged_value_raises(self, monkeypatch, patch, fake, match):
+        monkeypatch.setattr(quadrature, patch, lambda *args: fake)
+        with pytest.raises(ConvergenceError, match=match):
+            sine_transform_radial(lambda p: 1.0 / (p * p + 25.0), [10.0], 1e-7)
 
     def test_slow_decay_rejected(self):
         with pytest.raises(ValueError):
