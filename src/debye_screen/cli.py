@@ -491,12 +491,15 @@ def run_polarization(config: RunConfig) -> Artifacts:
     if channel == "temporal":
         if math.isfinite(p.beta):
             # the scan's p=0 entry is the defining boundary value, so the
-            # identity check extrapolates the kernel in from p > 0 instead
+            # identity check extrapolates the kernel in from p > 0 instead:
+            # f(s h) = a + b s^2 + c s^2 ln s at s = 1, 1/2, 1/4, where the
+            # log term is the massless kernel's p^2 ln p branch point
             m_d_sq = debye_mass_sq(p, min(tol, 1e-8)).m_d_sq
             h = 0.2 * math.sqrt(m_d_sq)
-            f1 = f_hat_temporal(h, p, tol)
-            f2 = f_hat_temporal(h / 2.0, p, tol)
-            extrap = (4.0 * f2 - f1) / 3.0
+            steps = (1.0, 0.5, 0.25)
+            fit = np.linalg.solve([[1.0, s * s, s * s * math.log(s)] for s in steps],
+                                  [f_hat_temporal(s * h, p, tol) for s in steps])
+            extrap = float(fit[0])
             gap = abs(extrap + m_d_sq) / max(m_d_sq, 1e-300)
             art.results["static_identity_gap"] = gap
             art.checks.append(_check("static_limit_identity", gap, 0.0, 1e-4))

@@ -119,6 +119,11 @@ def thermal_kernel_imag(u: float, z_mag: float, channel: str,
             u_eff = min(u, beta - u)
         scale = min(profile.width, 1.0 / u_eff)
         res = integrate_semi_infinite(g, scale, 1e-300, tail="exp", rel_tol=tol)
+        if not res.converged:
+            raise ConvergenceError(
+                f"kernel at z = 0 did not converge: error {res.error_estimate:.3e} "
+                f"on value {res.value:.3e}", estimate=res.value,
+                error_estimate=res.error_estimate)
         return res.value
 
     if channel == "spatial_p":

@@ -1,21 +1,23 @@
 """Controlled numerical integration.
 
-Four workhorses used throughout the package:
+Four workhorses:
 
 * adaptive semi-infinite integrals with a rigorous tail bound,
-* 2D radial-angular momentum integrals with removable-singularity
-  handling delegated to the caller's kernel,
+* 2D radial-angular momentum integrals, one adaptive angular integral
+  per radial shell, with removable-singularity handling delegated to
+  the caller's kernel (the polarization kernel no longer runs on it; the
+  tests use it as that kernel's 2D reference),
 * oscillatory radial sine transforms, partitioned at the trig zeros and
   accelerated by repeated averaging of the alternating partial sums
   (Euler transformation),
 * plain Monte Carlo in 6 dimensions with a deterministic, chunked
   importance sampler.
 
-Integrand callables handed to the radial-angular and oscillatory
-routines must accept numpy arrays elementwise; there is no scalar
-fallback, so a float-only integrand raises. The Monte Carlo integrand
-maps two (n, 3) blocks of points to n values. The semi-infinite routine
-feeds floats.
+Oscillatory integrands must accept numpy arrays elementwise, and a
+radial-angular kernel gets a float p with a 1-D array of angles t, its
+values broadcast to the shape of t; there is no scalar fallback, so a
+float-only integrand raises. The Monte Carlo integrand maps two (n, 3)
+blocks of points to n values. The semi-infinite routine feeds floats.
 """
 
 from __future__ import annotations
@@ -174,31 +176,6 @@ def _gk21(cf, a, b):
     return resk * h, err, a, b, resasc
 
 
-# the same rule as rows, for many panels at once
-_XK_ROW, _WK_ROW, _WG_ROW = np.array(_XK), np.array(_WK), np.array(_WG)
-
-
-def _gk21_rows(fx, h):
-    """_gk21 on many panels at once: (value, error, resasc) arrays.
-
-    ``fx`` holds each panel's integrand values at its _XK abscissae, one
-    row per panel, and ``h`` the panels' half-widths. Row sums are
-    numpy's, so each panel's result does not depend on the other rows.
-    """
-    resk = (fx * _WK_ROW).sum(axis=1)
-    resg = (fx[:, 1::2] * _WG_ROW).sum(axis=1)
-    ah = np.abs(h)
-    resabs = (np.abs(fx) * _WK_ROW).sum(axis=1) * ah
-    resasc = (np.abs(fx - 0.5 * resk[:, None]) * _WK_ROW).sum(axis=1) * ah
-    err = np.abs((resk - resg) * h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    err = np.where(resabs > _TINY / (50.0 * _EPS),
-                   np.maximum(50.0 * _EPS * resabs, err), err)
-    return resk * h, err, resasc
-
-
 def _to_unit_interval(f, a):
     """f over [a, inf) as an integrand over t in [0, 1): x = a + t/(1-t)."""
     def g(t):
@@ -319,89 +296,6 @@ def integrate_semi_infinite(
     return QuadratureResult(value=val, error_estimate=total_err, evaluations=cf.n, converged=converged)
 
 
-def _angular_shells(kernel, ps, epsabs, inner_points):
-    """int_{-1}^{1} kernel(p, t) dt for every p of ``ps``: (values, evaluations).
-
-    Each integral is refined as _quad refines it: 21-point panels, split
-    first at its ``inner_points``, until the summed error is below
-    max(epsabs, 1e-10*|value|), 200 panels exist, or rounding
-    stalls (QUADPACK's iroff counters, or a panel too narrow to bisect).
-    Instead of one worst panel per step, a round bisects, in every open
-    integral, its worst panel and each panel whose error exceeds its
-    share of the target (its share of [-1, 1]); all the new panels of all
-    the integrals go to the kernel in one call of shape (n_panels, 21).
-    """
-    epsrel, limit = 1e-10, 200
-    n = len(ps)
-    lo, hi, own = [], [], []
-    for i, p in enumerate(ps.tolist()):
-        cuts = sorted(t for t in (inner_points(p) if inner_points else ()) if -1.0 < t < 1.0)
-        edges = [-1.0, *cuts, 1.0]
-        lo += edges[:-1]
-        hi += edges[1:]
-        own += [i] * (len(edges) - 1)
-    lo, hi, own = np.array(lo), np.array(hi), np.array(own)
-    evals = 0
-
-    def panels(a, b, rows):
-        nonlocal evals
-        h = 0.5 * (b - a)
-        t = (0.5 * (a + b))[:, None] + h[:, None] * _XK_ROW
-        fx = np.broadcast_to(kernel(ps[rows][:, None], t), t.shape)
-        evals += fx.size
-        bad = ~np.isfinite(fx)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            at = (float(ps[rows[i]]), float(t[i, j]))
-            raise IntegrandError(f"kernel returned {fx[i, j]} at (p, t) = {at}", abscissa=at)
-        return _gk21_rows(fx, h)
-
-    val, err, asc = panels(lo, hi, own)
-    npan = np.bincount(own, minlength=n)
-    iroff1, iroff2 = np.zeros(n), np.zeros(n)
-    stalled = np.zeros(n, dtype=bool)
-    # as in _quad, the first panels pass only if no error estimate is its
-    # resasc, which flags an estimate swamped by rounding
-    suspect = np.bincount(own, err == asc, n) > 0
-    while True:
-        area = np.bincount(own, val, n)
-        errsum = np.bincount(own, err, n)
-        target = np.maximum(epsabs, epsrel * np.abs(area))
-        live = ((errsum > target) | suspect) & (errsum != 0.0) & ~stalled & (npan < limit)
-        if not live.any():
-            return area, evals
-        suspect[:] = False
-        cand = np.flatnonzero(live[own])
-        order = cand[np.lexsort((-err[cand], own[cand]))]
-        o = own[order]
-        rank = np.arange(o.size) - np.searchsorted(o, o)
-        over = err[order] > target[o] * 0.5 * (hi[order] - lo[order])
-        sel = order[((rank == 0) | over) & (rank < (limit - npan)[o])]
-        o, a, b = own[sel], lo[sel], hi[sel]
-        mid = 0.5 * (a + b)
-        cv, ce, ca = panels(np.concatenate([a, mid]), np.concatenate([mid, b]),
-                            np.concatenate([o, o]))
-        k = sel.size
-        area12 = cv[:k] + cv[k:]
-        err12 = ce[:k] + ce[k:]
-        sound = (ce[:k] != ca[:k]) & (ce[k:] != ca[k:])
-        iroff1 += np.bincount(o, sound & (np.abs(val[sel] - area12) <= 1e-5 * np.abs(area12))
-                              & (err12 >= 0.99 * err[sel]), n)
-        iroff2 += np.bincount(o, sound & (npan[o] >= 10) & (err12 > err[sel]), n)
-        narrow = (np.maximum(np.abs(a), np.abs(b))
-                  <= (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY))
-        stalled |= (iroff1 >= 6) | (iroff2 >= 20) | (np.bincount(o, narrow, n) > 0)
-        npan += np.bincount(o, minlength=n)
-        keep = np.ones(lo.size, dtype=bool)
-        keep[sel] = False
-        lo = np.concatenate([lo[keep], a, mid])
-        hi = np.concatenate([hi[keep], mid, b])
-        own = np.concatenate([own[keep], o, o])
-        val = np.concatenate([val[keep], cv])
-        err = np.concatenate([err[keep], ce])
-        asc = np.concatenate([asc[keep], ca])
-
-
 def integrate_radial_angular(
     kernel,
     tol: float,
@@ -412,31 +306,34 @@ def integrate_radial_angular(
 ) -> QuadratureResult:
     """2pi * int_0^inf dp p^2 int_{-1}^{1} dt kernel(p, t), to ~tol.
 
-    ``kernel`` must accept numpy arrays: it is called with a column of
-    shell momenta p, shape (n, 1), and the angular abscissae t, shape
-    (n, 21), and its values are broadcast to the shape of t. Each outer
-    Gauss-Kronrod panel in p hands its 21 shells to the angular step
-    together. The azimuthal 2pi is applied internally. ``inner_points``,
-    if given, maps a float p to a list of interior t-breakpoints (e.g.
-    the removable coincidence point of a difference-quotient kernel) that
-    the angular panels should honor. ``evaluations`` counts the kernel's
-    abscissae.
+    ``kernel`` must accept numpy arrays: it is called with a float shell
+    momentum p and a 1-D array of angular abscissae t, and its values are
+    broadcast to the shape of t. Each shell's angular integral runs on
+    the adaptive Gauss-Kronrod rule to an absolute target 1e-4 tol /
+    max(p^2, 1), one kernel call per 21-point panel. The azimuthal 2pi is
+    applied internally. ``inner_points``, if given, maps a float p to a
+    list of interior t-breakpoints (e.g. the removable coincidence point
+    of a difference-quotient kernel) that the angular panels should
+    honor. ``evaluations`` counts the kernel's abscissae.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
     inner_evals = 0
 
-    def shells(ps):
-        # ps are interior nodes of outer panels on [0, x_cut], never 0
+    def shell(p):
         nonlocal inner_evals
-        vals, n = _angular_shells(kernel, ps, 1e-4 * tol / np.maximum(ps * ps, 1.0), inner_points)
-        inner_evals += n
-        return ps * ps * vals
+        cf = _Counted(lambda t: np.broadcast_to(kernel(p, t), t.shape), batch=True)
+        try:
+            val, _ = _quad(cf, -1.0, 1.0, epsabs=1e-4 * tol / max(p * p, 1.0), epsrel=1e-10,
+                           limit=200, points=inner_points(p) if inner_points else None)
+        except IntegrandError as exc:
+            at = (p, exc.abscissa)
+            raise IntegrandError(f"kernel not finite at (p, t) = {at}", abscissa=at) from exc
+        inner_evals += cf.n
+        return p * p * val
 
-    outer = integrate_semi_infinite(
-        _Counted(shells, batch=True), decay_scale, tol / (2.0 * math.pi) * 0.5,
-        rel_tol=rel_tol,
-    )
+    outer = integrate_semi_infinite(shell, decay_scale, tol / (2.0 * math.pi) * 0.5,
+                                    rel_tol=rel_tol)
     err = 2.0 * math.pi * outer.error_estimate + 0.01 * tol
     value = 2.0 * math.pi * outer.value
     converged = err <= tol or (rel_tol is not None and err <= rel_tol * abs(value))

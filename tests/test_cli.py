@@ -234,6 +234,13 @@ class TestMainInProcess:
         p.write_text("subcommand=polarization\nparams.beta=20.0\n")
         assert cli.main(["polarization", "--config", str(p), "--quiet"]) == 0
 
+    def test_massless_static_identity_is_tight(self):
+        # the massless kernel has a p^2 ln p term, which a two-point
+        # Richardson step in p^2 leaves at a gap of 7.8e-5
+        cfg = parse_config("subcommand=polarization\nparams.mass=0.0\n")
+        art = cli.run_polarization(cfg)
+        assert art.results["static_identity_gap"] <= 1e-6
+
     @pytest.mark.parametrize("key", ["units.hbar", "tolerances.series"])
     def test_unread_keys_are_unknown(self, key, tmp_path, capsys):
         # these keys changed the config hash but no result

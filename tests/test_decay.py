@@ -21,7 +21,7 @@ from debye_screen.decay import (
     verify_bound_ratio,
 )
 from debye_screen.errors import ConvergenceError, StripViolationError
-from debye_screen.quadrature import TestProfile
+from debye_screen.quadrature import QuadratureResult, TestProfile
 from debye_screen.specfun import ThermalParams
 
 PROF = TestProfile(kind="gaussian", width=1.0, support_radius=3.0)
@@ -110,6 +110,16 @@ class TestKernel:
         monkeypatch.setattr(decay, "_osc_integral", lobes)
         with pytest.raises(ConvergenceError) as info:
             thermal_kernel_imag(0.7, 1.0, channel, PROF, TP)
+        assert (info.value.estimate, info.value.error_estimate) == (1.0, 0.5)
+
+    def test_unconverged_contact_value_raises(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            return QuadratureResult(value=1.0, error_estimate=0.5, evaluations=21,
+                                    converged=False)
+
+        monkeypatch.setattr(decay, "integrate_semi_infinite", unconverged)
+        with pytest.raises(ConvergenceError) as info:
+            thermal_kernel_imag(0.7, 0.0, "scalar_m", PROF, TP)
         assert (info.value.estimate, info.value.error_estimate) == (1.0, 0.5)
 
     def test_argument_validation(self):

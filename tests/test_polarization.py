@@ -11,6 +11,7 @@ from scipy.integrate import quad as _scipy_quad
 from debye_screen import polarization
 from debye_screen.debye import debye_mass_sq
 from debye_screen.errors import (
+    ConvergenceError,
     InfraredDivergenceError,
     PoleDetectedError,
     ScanError,
@@ -24,7 +25,8 @@ from debye_screen.polarization import (
     f_hat_temporal,
     scan_kernel,
 )
-from debye_screen.specfun import ThermalParams, fermi_factor, fermi_factor_prime
+from debye_screen.quadrature import QuadratureResult, integrate_radial_angular
+from debye_screen.specfun import ThermalParams
 
 UNIT = ThermalParams(beta=1.0, mass=1.0)
 # square Debye mass at beta = m = e = 1, frozen from the series route
@@ -63,74 +65,100 @@ def midpoint_kernel_oracle(channel, pt, beta, m, e=1.0, cut=45.0, n_p=3000, n_t=
     return sign * 2.0 * np.pi * total * e * e / (4.0 * math.pi ** 3)
 
 
-def scalar_quotient(p, t, pt, params, sign):
-    """The kernel quotient at one (p, t), in floats: the scalar closure that
-    the numpy kernel replaced, transcribed."""
+def kernel_quotient(p, t, p_tilde, params, sign):
+    """Fermi-weighted difference quotient of the 2D kernel integrand.
+
+    sign=+1 selects numerators w^2 + E (temporal), sign=-1 selects
+    w^2 - E (spatial), E = m^2 + p^2 + p_tilde*p*t shared by both halves
+    of the bracket. The denominator w_p^2 - w_k^2 = -pt*(pt + 2 p t) is
+    used in its exact factored form, and near the coincidence set the
+    quotient switches to its first-order limit, where the stable mean of
+    the two exact spatial numerators is pt^2/2.
+    """
     beta, m = params.beta, params.mass
+    pt = p_tilde
     wp2 = m * m + p * p
-    wp = math.sqrt(wp2)
+    wp = np.sqrt(wp2)
     dot = pt * p * t
     wk2 = wp2 + pt * pt + 2.0 * dot
-    wk = math.sqrt(wk2)
+    wk = np.sqrt(wk2)
     e_shared = wp2 + dot
-    if abs(wp - wk) < 1e-6 * (wp + wk):
-        wb = 0.5 * (wp + wk)
-        f = fermi_factor(beta, wb)
-        fp = fermi_factor_prime(beta, wb)
-        nu = 0.5 * pt * pt
-        if sign > 0.0:
-            return nu * f / (wb * wb) / (2.0 * wb) + (wb + e_shared / wb) * fp / (2.0 * wb)
-        return nu * (fp / wb - f / (wb * wb)) / (2.0 * wb) + f / wb
-    den = -pt * (pt + 2.0 * p * t)
-    fp_, fk_ = fermi_factor(beta, wp), fermi_factor(beta, wk)
+    ep, ek = np.exp(-beta * wp), np.exp(-beta * wk)
+    fp_, fk_ = ep / (1.0 + ep), ek / (1.0 + ek)
     if sign > 0.0:
         num_p = (wp2 + e_shared) * fp_ / wp
         num_k = (wk2 + e_shared) * fk_ / wk
     else:
+        # w^2 - E collapses exactly: wp2-E = -pt*p*t, wk2-E = pt*(pt+p*t)
         num_p = -dot * fp_ / wp
         num_k = pt * (pt + p * t) * fk_ / wk
-    return (num_p - num_k) / den
+    den = -pt * (pt + 2.0 * p * t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (num_p - num_k) / den
+    near = np.abs(wp - wk) < 1e-6 * (wp + wk)
+    if near.any():
+        wb = (0.5 * (wp + wk))[near]
+        e = np.exp(-beta * wb)
+        f = e / (1.0 + e)
+        fp = -beta * e / (1.0 + e) ** 2
+        nu = 0.5 * pt * pt  # mean of the exact numerators w^2 -+ E
+        if sign > 0.0:
+            es = e_shared[near]
+            out[near] = nu * f / (wb * wb) / (2.0 * wb) + (wb + es / wb) * fp / (2.0 * wb)
+        else:
+            out[near] = nu * (fp / wb - f / (wb * wb)) / (2.0 * wb) + f / wb
+    return out
 
 
-class TestKernelQuotient:
-    PT = 0.7
+def f_hat_2d(channel, pt, params, tol):
+    """The kernel as the 2D integral over (p, cos angle) of the quotient,
+    split at its coincidence angle t* = -pt/(2p): the route that the
+    closed-angle form replaced, and independent of it."""
+    sign = 1.0 if channel == "temporal" else -1.0
+    c_f = params.charge_e ** 2 / (4.0 * math.pi ** 3)
 
-    def points(self, mass):
-        """Random (p, t), and points around the coincidence set t* = -pt/(2p):
-        within 1e-7 of it, and either side of the switch to the limit branch."""
-        rng = np.random.default_rng(5)
-        p = rng.uniform(0.05, 6.0, 200)
-        t = rng.uniform(-1.0, 1.0, 200)
-        pn = rng.uniform(0.55 * self.PT, 6.0, 60)
-        ts = -self.PT / (2.0 * pn)
-        # |w_p - w_k| = 1e-6 (w_p + w_k) at |t - t*| ~ 2e-6 w_p^2 / (p pt)
-        switch = 2e-6 * (mass * mass + pn * pn) / (pn * self.PT)
-        side = np.where(rng.random(60) < 0.5, -1.0, 1.0)
-        near = ts + 1e-7 * rng.uniform(-1.0, 1.0, 60)
-        inside = ts + side * switch * (1.0 - 1e-3)
-        outside = ts + side * switch * (1.0 + 1e-3)
-        return (np.concatenate([p, pn, pn, pn]), np.concatenate([t, near, inside, outside]),
-                np.concatenate([np.full(260, 1e-12), np.full(120, 1e-8)]))
+    def breakpoints(p):
+        ts = -pt / (2.0 * p)
+        return (ts,) if -1.0 < ts < 1.0 else ()
 
-    @pytest.mark.parametrize("channel", ["temporal", "spatial"])
-    @pytest.mark.parametrize("mass", [0.0, 1.0])
-    def test_matches_scalar_transcription(self, channel, mass):
-        params = ThermalParams(beta=1.3, mass=mass)
-        sign = 1.0 if channel == "temporal" else -1.0
-        p, t, rel = self.points(mass)
-        got = polarization._kernel_quotient(p, t, self.PT, params, sign)
-        want = np.array([scalar_quotient(a, b, self.PT, params, sign) for a, b in zip(p, t)])
-        # the direct quotient next to the switch cancels ~6 digits, so there
-        # a last-bit difference of exp between numpy and math is amplified
-        assert np.all(np.abs(got - want) <= rel * np.abs(want))
+    res = integrate_radial_angular(
+        lambda p, t: kernel_quotient(p, t, pt, params, sign), tol / c_f,
+        decay_scale=(1.0 + params.mass) / params.beta, inner_points=breakpoints)
+    return sign * c_f * res.value
 
-    def test_broadcasts_a_column_of_shells(self):
-        p = np.array([[0.3], [1.1], [2.4]])
-        t = np.linspace(-0.9, 0.9, 21)[None, :] * np.ones((3, 1))
-        got = polarization._kernel_quotient(p, t, self.PT, UNIT, 1.0)
-        assert got.shape == (3, 21)
-        assert got[1, 4] == pytest.approx(
-            scalar_quotient(1.1, t[1, 4], self.PT, UNIT, 1.0), rel=1e-12)
+
+class TestClosedAngleForm:
+    @pytest.mark.parametrize("channel, beta, mass, pt", [
+        ("temporal", 6.0 ** -0.5, 0.0, 0.7),
+        ("temporal", 1.0, 0.0, 1.3),
+        ("temporal", 1.0, 1.0, 0.4),
+        ("spatial", 1.0, 1.0, 0.9),
+        ("temporal", 0.1, 1.0, 2.2),
+    ], ids=["hot_massless", "massless", "massive", "spatial", "hot_massive"])
+    def test_matches_2d_reference(self, channel, beta, mass, pt):
+        params = ThermalParams(beta=beta, mass=mass)
+        got = polarization._f_hat(channel, pt, params, 1e-10)
+        assert abs(got - f_hat_2d(channel, pt, params, 1e-10)) <= 1e-11
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.1])
+    def test_cold_kernel_keeps_relative_accuracy(self, fraction):
+        # m_D^2 ~ 6e-11 here, and the thermal momenta are ~1e5 times pt;
+        # panels that are not split down to scale pt miss this at 1e-7
+        cold = ThermalParams(beta=20.0, mass=1.0)
+        m_d_sq = debye_mass_sq(cold, 1e-12).m_d_sq
+        got = f_hat_temporal(fraction * math.sqrt(m_d_sq), cold)
+        assert abs(got + m_d_sq) <= 1e-9 * m_d_sq
+
+    def test_unconverged_integral_raises(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            return QuadratureResult(value=2.0, error_estimate=0.5, evaluations=21,
+                                    converged=False)
+
+        monkeypatch.setattr(polarization, "integrate_semi_infinite", unconverged)
+        with pytest.raises(ConvergenceError) as exc:
+            f_hat_spatial(0.5, UNIT, 1e-8)
+        assert exc.value.estimate == pytest.approx(-2.0 / math.pi ** 2)
+        assert exc.value.error_estimate == pytest.approx(0.5 / math.pi ** 2)
 
 
 class TestTemporalKernel:

@@ -14,14 +14,7 @@ from debye_screen.quadrature import (
     sine_transform_radial,
 )
 from debye_screen.quadrature import TestProfile as GaussianTestProfile
-from debye_screen.quadrature import (
-    _XK_ROW,
-    _Counted,
-    _gk21,
-    _gk21_rows,
-    _quad,
-    _sine_transform_diag,
-)
+from debye_screen.quadrature import _quad, _sine_transform_diag
 
 
 class TestSemiInfinite:
@@ -141,33 +134,6 @@ class TestRadialAngular:
             integrate_radial_angular(kernel, 1e-9)
         p, t = exc.value.abscissa
         assert p > 0.0 and t > 0.5
-
-
-class TestBatchedPanelRule:
-    FUNCS = {
-        # error set by the Kronrod-Gauss difference
-        "oscillating": lambda x: np.exp(-x * x) * np.cos(3.0 * x),
-        "runge": lambda x: 1.0 / (1.0 + 25.0 * x * x),
-        # error at the rounding floor 50 eps resabs, resasc at rounding level
-        "constant": lambda x: 2.5 + 0.0 * x,
-    }
-
-    @pytest.mark.parametrize("name", sorted(FUNCS))
-    def test_rows_match_scalar_rule(self, name):
-        f = self.FUNCS[name]
-        rng = np.random.default_rng(11)
-        a = rng.uniform(-3.0, 1.0, 40)
-        b = a + rng.uniform(1e-3, 4.0, 40)
-        h = 0.5 * (b - a)
-        x = (0.5 * (a + b))[:, None] + h[:, None] * _XK_ROW
-        val, err, asc = _gk21_rows(f(x), h)
-        for i in range(a.size):
-            v, e, _, _, s = _gk21(_Counted(lambda y: float(f(y))), a[i], b[i])
-            assert val[i] == pytest.approx(v, rel=1e-14, abs=1e-300)
-            assert asc[i] == pytest.approx(s, rel=1e-12, abs=1e-14 * abs(v))
-            # the estimate is a difference of two sums, so it carries
-            # their rounding: relative to the panel's mass, not to itself
-            assert err[i] == pytest.approx(e, rel=1e-9, abs=1e-13 * abs(v))
 
 
 class TestSineTransform:
