@@ -1,8 +1,9 @@
 """Sweep the square Debye mass over temperature and fermion mass.
 
 Runs the spectral series and the momentum integral side by side and
-reports the relative gap, which should sit at the quadrature tolerance
-everywhere. Useful as a quick health check after touching either route.
+reports the relative gap, which should sit at or below the quadrature
+tolerance everywhere. Useful as a quick health check after touching
+either route.
 """
 
 import argparse

@@ -175,9 +175,7 @@ def _full_denominator_model(params: ThermalParams, m_d_sq: float, tol: float):
     contact = params.charge_e ** 2 * params.a1
 
     def den(p):
-        arr = np.asarray(p, dtype=float)
-        scalar = arr.ndim == 0
-        a = np.atleast_1d(arr).astype(float)
+        a = np.asarray(p, dtype=float)
         fh = np.empty_like(a)
         inside = a <= cut
         fh[inside] = np.polynomial.chebyshev.chebval(
@@ -186,8 +184,7 @@ def _full_denominator_model(params: ThermalParams, m_d_sq: float, tol: float):
         if out.size:
             s = (cut / out) ** 2
             fh[~inside] = (tail_x + tail_y * s) * s
-        d = a * a - lam * (fh + contact * a * a)
-        return float(d[0]) if scalar else d
+        return a * a - lam * (fh + contact * a * a)
 
     # pole guard: scan nodes, their midpoints, and the continued tail
     probes = np.concatenate([
@@ -237,11 +234,7 @@ def screening_profile(source: SourceSpec, params: ThermalParams, mode: str,
         diagnostics.update(extra)
 
     def integrand(p):
-        a = np.asarray(p, dtype=float)
-        scalar = a.ndim == 0
-        pv = np.atleast_1d(a)
-        out = source_fourier(source, pv) / den(pv)
-        return float(out[0]) if scalar else out
+        return source_fourier(source, p) / den(p)
 
     values = sine_transform_radial(integrand, r_grid, tol)
     return RadialProfile(

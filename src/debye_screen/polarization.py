@@ -99,9 +99,9 @@ def _f_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float) 
 
     def integrand(k):
         e = dispersion(k, m)
-        # log1p keeps L accurate for k far from pt/2 on either side; k = pt/2
-        # itself is met only by a tail probe, where a large finite L moves the
-        # cutoff on instead of raising
+        # log1p keeps L accurate for k far from pt/2 on either side; pt/2 is
+        # a breakpoint, so only a node rounded onto it meets k = pt/2, where
+        # a large finite L keeps the panel sum finite instead of raising
         log = math.log1p(2.0 * min(pt, 2.0 * k) / (abs(2.0 * k - pt) or math.ulp(pt)))
         if temporal:
             bracket = 1.0 + (4.0 * e * e - pt * pt) / (4.0 * k * pt) * log
@@ -162,7 +162,7 @@ def b_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float = 
     m2 = m * m
 
     def integrand(u):
-        if u > 300.0:  # integrand ~ e^{-2u}, dead long before sinh overflows
+        if u > 100.0:  # integrand ~ e^{-2u}, dead long before s**2.5 overflows
             return 0.0
         v = 2.0 * m * math.sinh(u)
         s = 4.0 * m2 + v * v
@@ -171,7 +171,7 @@ def b_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float = 
 
     pref = 16.0 * params.charge_e ** 2 * pt2 * pt2 / (3.0 * (2.0 * math.pi) ** 5)
     quad = integrate_semi_infinite(
-        integrand, 0.5, tol / max(pref, 1e-300), tail="exp", rel_tol=1e-10,
+        integrand, 0.5, tol / max(pref, 1e-300), rel_tol=1e-10,
     )
     return base + pref * quad.value
 

@@ -2,7 +2,8 @@
 
 Four workhorses:
 
-* adaptive semi-infinite integrals with a rigorous tail bound,
+* adaptive semi-infinite integrals whose last Gauss-Kronrod panel
+  is mapped onto [c, inf), so the tail is inside the error estimate,
 * 2D radial-angular momentum integrals, one adaptive angular integral
   per radial shell, with removable-singularity handling delegated to
   the caller's kernel (the polarization kernel no longer runs on it; the
@@ -146,16 +147,29 @@ _EPS = 2.220446049250313e-16
 _TINY = 2.2250738585072014e-308
 
 
-def _gk21(cf, a, b):
+# the same abscissae mapped onto [0, inf) by x = (1+t)/(1-t), and the
+# Jacobian 2/(1-t)^2 of that map
+_XK_INF = tuple((1.0 + x) / (1.0 - x) for x in _XK)
+_JK_INF = tuple(2.0 / (1.0 - x) ** 2 for x in _XK)
+
+
+def _gk21(cf, a, b, s=1.0):
     """One 21-point Gauss-Kronrod panel of a _Counted: (value, error, a, b, resasc).
 
+    A panel with b = inf is mapped onto t in [-1, 1) by
+    x = a + s (1+t)/(1-t), so its abscissae are the constants
+    a + s _XK_INF and its values carry the Jacobian s _JK_INF.
     The error estimate is QUADPACK's: the Kronrod-Gauss difference,
     rescaled against resasc (the panel's integral of |f - mean|) and
     floored at the rounding level of the integral of |f|.
     """
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fx = cf.many([c + h * x for x in _XK])
+    if b == math.inf:
+        h = s
+        fx = list(map(operator.mul, cf.many([a + s * x for x in _XK_INF]), _JK_INF))
+    else:
+        h = 0.5 * (b - a)
+        c = 0.5 * (a + b)
+        fx = cf.many([c + h * x for x in _XK])
     resk = resabs = 0.0
     for w, v in zip(_WK, fx):
         resk += w * v
@@ -176,34 +190,25 @@ def _gk21(cf, a, b):
     return resk * h, err, a, b, resasc
 
 
-def _to_unit_interval(f, a):
-    """f over [a, inf) as an integrand over t in [0, 1): x = a + t/(1-t)."""
-    def g(t):
-        s = 1.0 - t
-        return f(a + t / s) / (s * s)
-    return g
-
-
-def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None):
+def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=1.0):
     """Adaptive Gauss-Kronrod integral of a scalar f over [a, b]; b may be inf.
 
     QUADPACK QAG style: the interval, split first at ``points``, is
     covered by 21-point panels, and the panel with the largest error is
     bisected until the summed error is below max(epsabs, epsrel*|value|),
     ``limit`` panels exist, or rounding stalls the refinement (QUADPACK's
-    iroff counters, or a panel too narrow to bisect). Returns (value, error); the error is the summed
-    panel estimate also when the loop stops short, so callers can judge
+    iroff counters, or a panel too narrow to bisect). When b = inf the
+    last panel [c, inf) is mapped with length scale ``scale`` (see
+    _gk21); its bisection gives a plain panel [c, c + s] and the mapped
+    panel [c + s, inf) of scale 2s, so the tail stays inside the error
+    estimate. Returns (value, error); the error is the summed panel
+    estimate also when the loop stops short, so callers can judge
     convergence themselves. f is called one abscissa at a time through
     a _Counted, so a NaN/inf is reported at the abscissa that produced it.
     """
-    edges = [p for p in (points or ()) if a < p < b]
-    if b == math.inf:
-        f = _to_unit_interval(f, a)
-        edges = [(p - a) / (1.0 + p - a) for p in edges]
-        a, b = 0.0, 1.0
     cf = f if isinstance(f, _Counted) else _Counted(f)
-    edges = [a, *sorted(edges), b]
-    panels = [_gk21(cf, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    edges = [a, *sorted(p for p in (points or ()) if a < p < b), b]
+    panels = [_gk21(cf, lo, hi, scale) for lo, hi in zip(edges, edges[1:])]
     area = sum(p[0] for p in panels)
     errsum = sum(p[1] for p in panels)
     if errsum == 0.0 or (errsum <= max(epsabs, epsrel * abs(area))
@@ -217,8 +222,13 @@ def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None):
     iroff1 = iroff2 = 0
     while n < limit:
         _, _, (val, err, lo, hi, _) = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        left, right = _gk21(cf, lo, mid), _gk21(cf, mid, hi)
+        if hi == math.inf:
+            # only the last panel is infinite, so one scale suffices
+            mid = lo + scale
+            scale *= 2.0
+        else:
+            mid = 0.5 * (lo + hi)
+        left, right = _gk21(cf, lo, mid), _gk21(cf, mid, hi, scale)
         area12 = left[0] + right[0]
         err12 = left[1] + right[1]
         area += area12 - val
@@ -245,55 +255,30 @@ def integrate_semi_infinite(
     decay_scale: float,
     tol: float,
     *,
-    tail: str = "exp",
-    tail_power: float = 2.0,
     rel_tol: float | None = None,
     points=None,
-    max_doublings: int = 14,
 ) -> QuadratureResult:
     """Integrate f over [0, inf) to absolute tolerance ``tol``.
 
-    The cutoff X starts at 8 decay scales and doubles until the tail
-    bound drops below tol/10; the finite part is handled by adaptive
-    panels. ``tail`` = "exp" bounds the remainder by |f(X)| * decay_scale
-    (valid for |f| <~ C e^{-x/decay_scale}); "power" uses
-    |f(X)| * X / (tail_power - 1) for |f| <~ C x^{-tail_power}.
-    When ``rel_tol`` is given, convergence is also granted at
-    err <= rel_tol * |value|, which is the right notion for integrals
-    whose scale is not known a priori.
+    One adaptive Gauss-Kronrod integral: finite panels between the
+    ``points``, then one mapped panel reaching to infinity whose first
+    length scale is ``decay_scale``. The tail is part of the adaptive
+    error estimate, so no decay law is assumed. When ``rel_tol`` is
+    given, convergence is also granted at err <= rel_tol * |value|,
+    which is the right notion for integrals whose scale is not known a
+    priori. An unreached tolerance is reported by ``converged``, not
+    raised.
     """
     if not (decay_scale > 0.0):
         raise ValueError(f"decay_scale must be > 0, got {decay_scale}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
-    if tail == "power" and not (tail_power > 1.0):
-        raise ValueError("power tail needs tail_power > 1")
     cf = f if isinstance(f, _Counted) else _Counted(f)
-
-    x_cut = 8.0 * decay_scale
-    tail_bound = math.inf
-    for _ in range(max_doublings):
-        probe = max(abs(cf(x_cut)), abs(cf(1.09 * x_cut)), abs(cf(1.21 * x_cut)))
-        if tail == "exp":
-            tail_bound = probe * decay_scale
-        else:
-            tail_bound = probe * 1.21 * x_cut / (tail_power - 1.0)
-        if tail_bound <= 0.1 * tol:
-            break
-        x_cut *= 2.0
-    # fall through with the last bound; convergence flag reports honestly
-
     epsrel = 1e-12 if rel_tol is None else max(1e-12, 0.25 * rel_tol)
-    pts = None
-    if points is not None:
-        pts = [p for p in points if 0.0 < p < x_cut]
-        pts = pts or None
-    val, err = _quad(
-        cf, 0.0, x_cut, epsabs=0.25 * tol, epsrel=epsrel, limit=500, points=pts
-    )
-    total_err = err + tail_bound
-    converged = total_err <= tol or (rel_tol is not None and total_err <= rel_tol * abs(val))
-    return QuadratureResult(value=val, error_estimate=total_err, evaluations=cf.n, converged=converged)
+    val, err = _quad(cf, 0.0, math.inf, epsabs=0.25 * tol, epsrel=epsrel, limit=500,
+                     points=points, scale=decay_scale)
+    converged = err <= tol or (rel_tol is not None and err <= rel_tol * abs(val))
+    return QuadratureResult(value=val, error_estimate=err, evaluations=cf.n, converged=converged)
 
 
 def integrate_radial_angular(

@@ -90,6 +90,16 @@ class TestCrossMethod:
                     for m in MASS_GRID]
             assert all(x > y for x, y in zip(vals, vals[1:]))
 
+    @given(beta_m=st.floats(0.5, 100.0), beta=st.floats(0.2, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_routes_agree_at_default_tolerance(self, beta_m, beta):
+        # the integral route's tail is inside its error estimate, so the
+        # two routes meet far below their 1e-10 default tolerance
+        tp = ThermalParams(beta=beta, mass=beta_m / beta)
+        a = debye_mass_sq_series(tp).m_d_sq
+        b = debye_mass_sq_integral(tp).m_d_sq
+        assert b == pytest.approx(a, rel=1e-12)
+
     @given(beta=st.floats(0.2, 20.0), mass=st.floats(0.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_positivity(self, beta, mass):

@@ -28,10 +28,21 @@ class TestSemiInfinite:
         assert res.value == pytest.approx(2.0, abs=1e-10)
 
     def test_power_tail(self):
-        res = integrate_semi_infinite(
-            lambda x: 1.0 / (1.0 + x * x) ** 2, 1.0, 1e-9, tail="power", tail_power=4.0
-        )
+        res = integrate_semi_infinite(lambda x: 1.0 / (1.0 + x * x) ** 2, 1.0, 1e-9)
         assert res.value == pytest.approx(math.pi / 4.0, abs=1e-9)
+        assert res.converged
+
+    @pytest.mark.parametrize("f, tol, exact", [
+        (lambda x: 1.0 / (1.0 + x) ** 2, 1e-8, 1.0),
+        (lambda x: 1.0 / (1.0 + x) ** 1.5, 1e-10, 2.0),
+    ])
+    def test_algebraic_tail_reports_convergence_honestly(self, f, tol, exact):
+        # the tail beyond any cutoff is part of the error estimate, so a
+        # slowly decaying integrand is either reached or flagged
+        res = integrate_semi_infinite(f, 1.0, tol)
+        assert res.converged
+        assert abs(res.value - exact) <= tol
+        assert abs(res.value - exact) <= res.error_estimate
 
     def test_bessel_integral_representation(self):
         # 2*int_1^inf sqrt(x^2-1)e^-x dx + int_1^inf e^-x/sqrt(x^2-1) dx
@@ -52,13 +63,13 @@ class TestSemiInfinite:
 
         with pytest.raises(IntegrandError) as exc:
             integrate_semi_infinite(bad, 1.0, 1e-8)
-        assert exc.value.abscissa is not None
+        assert 2.0 < exc.value.abscissa < 3.0
 
     def test_unreachable_tolerance_flagged_not_raised(self):
-        res = integrate_semi_infinite(lambda x: 1.0 / (1.0 + x) ** 1.5, 1.0, 1e-10,
-                                      tail="power", tail_power=1.5)
+        # 1e-20 is below the rounding level of an integral of order one
+        res = integrate_semi_infinite(lambda x: math.exp(-x), 1.0, 1e-20)
         assert not res.converged
-        assert res.error_estimate > 1e-10
+        assert res.error_estimate > 1e-20
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):
