@@ -109,16 +109,15 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class KernelRequest:
-    """Per-subcommand knobs: kernel channel, strip offset, bound regime."""
+    """Per-subcommand knobs: kernel channel, decay's strip offset, weight,
+    profile and samples, screening's mode. Decay's regime follows from beta."""
 
     channel: str = "scalar_m"
     u: float = 0.5
-    regime: str = "thermal_spatial"
     weight: str = "forward"
     mode: str = "zeroth_order"
     profile_width: float = 1.0
     mc_samples: int = 200000
-    ladder: bool = False
 
 
 @dataclass(frozen=True)
@@ -158,6 +157,8 @@ class RunConfig:
                               key="output.precision")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ConfigError("seed must be a nonnegative integer", key="seed")
+        if self.source.charge_q == 0.0:
+            raise ConfigError("charge_q must be nonzero", key="source.charge_q")
 
 
 _SECTIONS = (
@@ -171,8 +172,6 @@ _SECTIONS = (
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
@@ -192,15 +191,11 @@ def _parse_value(text: str, typ, line, key):
             return int(text)
         except ValueError:
             raise ConfigError(f"not an integer: {text!r}", line, key) from None
-    if typ is bool:
-        if text in ("true", "false"):
-            return text == "true"
-        raise ConfigError(f"expected true/false, got {text!r}", line, key)
     return text
 
 
 def _field_type(f):
-    return {"float": float, "int": int, "str": str, "bool": bool}.get(
+    return {"float": float, "int": int, "str": str}.get(
         f.type if isinstance(f.type, str) else f.type.__name__, str)
 
 
@@ -270,6 +265,8 @@ def default_config(subcommand: str) -> RunConfig:
     base = RunConfig(subcommand=subcommand)
     if subcommand == "screening":
         return replace(base, params=ThermalParams(beta=1.0, mass=0.0))
+    if subcommand == "polarization":
+        return replace(base, kernel=replace(base.kernel, channel="temporal"))
     if subcommand == "decay":
         return replace(base, grids=replace(base.grids, r_count=10))
     if subcommand == "limits":
@@ -397,32 +394,6 @@ def run_screening(config: RunConfig) -> Artifacts:
     tol = config.tolerances.quadrature
     art = Artifacts()
 
-    if config.kernel.ladder:
-        eps0 = config.source.width
-        epsilons = [eps0, eps0 / 2.0, eps0 / 4.0, eps0 / 8.0]
-        r_probe = [g.r_min + 0.25 * (g.r_max - g.r_min),
-                   g.r_min + 0.75 * (g.r_max - g.r_min)]
-        rep = delta_family_limit(epsilons, p, r_probe, tol,
-                                 mode=config.kernel.mode,
-                                 charge_q=config.source.charge_q)
-        art.results = {
-            "epsilons": list(rep.epsilons),
-            "r_probe": list(rep.r_probe),
-            "final_gap": list(rep.final_gap),
-            "monotone": list(rep.monotone),
-            "converged": list(rep.converged),
-        }
-        art.checks.append(_check("delta_ladder_monotone",
-                                 all(rep.monotone), True, 0.0))
-        art.checks.append(_check("delta_ladder_converged",
-                                 all(rep.converged), True, 0.0))
-        art.csv_header = ("epsilon", "r_probe", "relative_gap")
-        art.csv_units = "length, length, -"
-        for j, r in enumerate(rep.r_probe):
-            for i, e in enumerate(rep.epsilons):
-                art.csv_rows.append((e, r, rep.gaps[j][i]))
-        return art
-
     r_grid = list(np.geomspace(g.r_min, g.r_max, g.r_count))
     prof = screening_profile(config.source, p, config.kernel.mode, r_grid, tol)
     m_d_sq = debye_mass_sq(p, min(tol, 1e-8)).m_d_sq
@@ -470,8 +441,6 @@ def run_polarization(config: RunConfig) -> Artifacts:
     g = config.grids
     tol = config.tolerances.quadrature
     channel = config.kernel.channel
-    if channel not in ("temporal", "spatial"):
-        channel = "temporal"
     art = Artifacts()
 
     p_grid = list(np.linspace(g.p_min, g.p_max, g.p_count))
@@ -529,7 +498,7 @@ def run_decay(config: RunConfig) -> Artifacts:
                                      config.grids.r_max, config.grids.r_count))
     kc = KernelConfig(channel=k.channel, u=k.u, profile=profile, params=p,
                       tol=t.quadrature, weight=k.weight)
-    bc = BoundConfig(regime=k.regime, mass=p.mass)
+    bc = BoundConfig("ground_spacetime" if p.is_ground else "thermal_spatial", p.mass)
     rep = verify_bound_ratio(kc, bc, schedule)
 
     art.csv_header = ("separation", "kernel_abs", "bound", "ratio")
@@ -711,10 +680,7 @@ def main(argv=None) -> int:
             overrides["output"] = replace(config.output, **out)
         if overrides:
             config = replace(config, **overrides)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

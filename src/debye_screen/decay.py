@@ -22,6 +22,7 @@ from .quadrature import (
     QuadratureResult,
     TestProfile,
     _osc_integral,
+    _past_rounding,
     integrate_semi_infinite,
     monte_carlo_6d,
 )
@@ -145,7 +146,7 @@ def thermal_kernel_imag(u: float, z_mag: float, channel: str,
 def _converged_osc(g, z_mag: float, kind: str, tol: float) -> float:
     """_osc_integral's value; raises when it missed tol and its rounding floor."""
     v, err, _n, acc = _osc_integral(g, z_mag, kind, tol)
-    if err > max(tol * abs(v), 2e-15 * acc):
+    if err > tol * abs(v) and _past_rounding(err, acc):
         raise ConvergenceError(
             f"{kind} transform at |z| = {z_mag} did not converge: "
             f"error {err:.3e} on value {v:.3e}", estimate=v, error_estimate=err)

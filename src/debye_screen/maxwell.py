@@ -38,7 +38,7 @@ _MODES = ("zeroth_order", "full_kernel")
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Radially symmetric classical source with unit total charge times q.
+    """Radially symmetric classical charge density (a temporal source) of total charge q.
 
     ``width`` is the family parameter: the mollifier width epsilon, the
     Gaussian sigma, or the ball radius.
@@ -47,7 +47,6 @@ class SourceSpec:
     family: str
     width: float
     charge_q: float = 1.0
-    channel: str = "temporal"
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -56,23 +55,18 @@ class SourceSpec:
             raise ValueError(f"family width must be finite and > 0, got {self.width}")
         if not math.isfinite(self.charge_q):
             raise ValueError("charge_q must be finite")
-        if self.channel not in ("temporal", "spatial"):
-            raise ValueError(f"unknown channel {self.channel!r}")
 
     @classmethod
-    def smoothed_point(cls, epsilon: float, charge_q: float = 1.0,
-                       channel: str = "temporal") -> "SourceSpec":
-        return cls("smoothed_point", epsilon, charge_q, channel)
+    def smoothed_point(cls, epsilon: float, charge_q: float = 1.0) -> "SourceSpec":
+        return cls("smoothed_point", epsilon, charge_q)
 
     @classmethod
-    def gaussian(cls, sigma: float, charge_q: float = 1.0,
-                 channel: str = "temporal") -> "SourceSpec":
-        return cls("gaussian", sigma, charge_q, channel)
+    def gaussian(cls, sigma: float, charge_q: float = 1.0) -> "SourceSpec":
+        return cls("gaussian", sigma, charge_q)
 
     @classmethod
-    def uniform_ball(cls, radius: float, charge_q: float = 1.0,
-                     channel: str = "temporal") -> "SourceSpec":
-        return cls("uniform_ball", radius, charge_q, channel)
+    def uniform_ball(cls, radius: float, charge_q: float = 1.0) -> "SourceSpec":
+        return cls("uniform_ball", radius, charge_q)
 
 
 @dataclass(frozen=True)
@@ -206,12 +200,10 @@ def screening_profile(source: SourceSpec, params: ThermalParams, mode: str,
 
     ``zeroth_order`` freezes the kernel at its zero-momentum value, so the
     propagator is exactly Yukawa; ``full_kernel`` uses the scanned
-    momentum-dependent denominator. Temporal sources only.
+    momentum-dependent denominator.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if source.channel != "temporal":
-        raise ValueError("only temporal-channel sources are solved end to end")
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
     if params.mass == 0.0 and not math.isfinite(params.beta):
@@ -255,14 +247,14 @@ class DeltaLimitReport:
     converged: tuple
 
 
-def delta_family_limit(epsilons, params: ThermalParams, r_probe, tol: float = 1e-7,
-                       mode: str = "zeroth_order", charge_q: float = 1.0,
-                       gap_tol: float = 1e-3) -> DeltaLimitReport:
+def delta_family_limit(epsilons, params: ThermalParams, r_probe,
+                       tol: float = 1e-7) -> DeltaLimitReport:
     """Shrink the mollifier and track the distance to the ideal point source.
 
-    Requires the width sequence to decrease to at most a tenth of the
-    closest probe radius. A probe whose gap sequence fails to shrink
-    monotonically below ``gap_tol`` is flagged, not fatal.
+    Zeroth-order profiles of unit-charge smoothed points against their
+    Yukawa limit; the relative gaps do not depend on the charge. The widths
+    must decrease to at most a tenth of the closest probe radius. A probe
+    whose gaps fail to shrink monotonically below 1e-3 is flagged, not fatal.
     """
     eps = [float(e) for e in epsilons]
     if len(eps) < 2 or any(a <= b for a, b in zip(eps, eps[1:])):
@@ -276,12 +268,12 @@ def delta_family_limit(epsilons, params: ThermalParams, r_probe, tol: float = 1e
         raise ValueError("smallest epsilon must sit below min(r_probe)/10")
 
     m_d_sq = debye_mass_sq(params, min(tol, 1e-8)).m_d_sq
-    reference = [yukawa_reference(charge_q, params.lam, m_d_sq, r) for r in radii]
+    reference = [yukawa_reference(1.0, params.lam, m_d_sq, r) for r in radii]
 
     gap_rows = []
     for e in eps:
         prof = screening_profile(
-            SourceSpec.smoothed_point(e, charge_q), params, mode, radii, tol)
+            SourceSpec.smoothed_point(e), params, "zeroth_order", radii, tol)
         gap_rows.append([abs(v - ref) / abs(ref)
                          for v, ref in zip(prof.values, reference)])
 
@@ -291,7 +283,7 @@ def delta_family_limit(epsilons, params: ThermalParams, r_probe, tol: float = 1e
     monotone = tuple(all(b < max(a, floor) for a, b in zip(g, g[1:]))
                      for g in per_probe)
     final = tuple(g[-1] for g in per_probe)
-    converged = tuple(m and f < gap_tol for m, f in zip(monotone, final))
+    converged = tuple(m and f < 1e-3 for m, f in zip(monotone, final))
     return DeltaLimitReport(
         epsilons=tuple(eps), r_probe=tuple(radii), yukawa=tuple(reference),
         gaps=tuple(tuple(g) for g in per_probe), monotone=monotone,

@@ -100,9 +100,6 @@ class _Counted:
         self.n = 0
         self.batch = batch
 
-    def __call__(self, x):
-        return self.many((x,))[0]
-
     def many(self, xs):
         """f at each abscissa of xs; one finiteness test per batch."""
         if self.batch:
@@ -333,6 +330,11 @@ def integrate_radial_angular(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
+def _past_rounding(err: float, abs_accum: float) -> bool:
+    """Whether an oscillatory error exceeds rounding: 2e-15 of the lobe mass."""
+    return err > 2e-15 * abs_accum
+
+
 def _euler_tail(terms: np.ndarray) -> tuple[float, float]:
     """Sum an alternating tail by repeated averaging of partial sums."""
     row = np.cumsum(terms)
@@ -424,7 +426,7 @@ def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int
             tail, terr = _euler_tail(tail_terms)
             value = head + float(tail)
             err = float(terr) + floor
-        if err <= tol * max(abs(value), 1e-300) or err <= floor * 4.0:
+        if err <= tol * max(abs(value), 1e-300) or not _past_rounding(err, abs_accum):
             return value, err, evals, abs_accum
     return value, err, evals, abs_accum
 
@@ -439,10 +441,7 @@ def _osc_integral_mp(g, r: float, kind: str, tol: float):
     big floats to big floats; returns (value, error_estimate,
     evaluations, accepted).
     """
-    try:
-        from mpmath import mp
-    except ImportError:              # pragma: no cover
-        return 0.0, math.inf, 0, False
+    from mpmath import mp
     evals = 0
     prev = None
     old_dps = mp.dps
@@ -519,7 +518,7 @@ def _sine_transform_diag(f_hat, r_grid, tol: float):
         v, e, n, acc = _osc_integral(lambda p: np.asarray(f_hat(p)) * p, r, "sin", tol)
         c = 1.0 / (2.0 * math.pi ** 2 * r)
         if e > tol * abs(v):
-            if 5e-16 * acc < 0.25 * e:
+            if _past_rounding(e, acc):
                 raise ConvergenceError(
                     f"radial transform at r = {r} did not converge: error {c * e:.3e}"
                     f" on value {c * v:.3e}", estimate=c * v, error_estimate=c * e)

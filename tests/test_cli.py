@@ -54,11 +54,11 @@ class TestManifestRoundTrip:
         cfg = replace(
             default_config("screening"),
             seed=7,
-            kernel=KernelRequest(mode="full_kernel", ladder=True),
+            kernel=KernelRequest(mode="full_kernel", weight="kms"),
             output=replace(default_config("screening").output, precision=9))
         back = parse_config(emit_manifest(cfg))
         assert back == cfg
-        assert back.kernel.ladder is True
+        assert back.kernel.weight == "kms"
         assert back.output.precision == 9
 
     def test_floats_keep_shortest_repr(self):
@@ -68,6 +68,20 @@ class TestManifestRoundTrip:
         back = parse_config(emit_manifest(cfg))
         assert back.params.beta == 0.1
         assert back.params.mass == 1 / 3
+
+
+class TestReadmeKeyTable:
+    def test_table_lists_exactly_the_manifest_keys(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        header = next(line for line in lines if line.startswith("| key |"))
+        assert [c.strip() for c in header.split("|")[1:-1]] == ["key", *SUBCOMMANDS]
+        keys = [line.split("|")[1].strip().strip("`") for line in lines
+                if line.startswith("| `")]
+        for name in SUBCOMMANDS:
+            manifest = emit_manifest(default_config(name)).splitlines()
+            assert keys == [line.partition("=")[0] for line in manifest]
 
 
 class TestParseErrors:
@@ -99,10 +113,6 @@ class TestParseErrors:
     def test_bad_int(self):
         with pytest.raises(ConfigError, match="not an integer"):
             parse_config("subcommand=debye\nseed=1.5\n")
-
-    def test_bad_bool(self):
-        with pytest.raises(ConfigError, match="true/false"):
-            parse_config("subcommand=screening\nkernel.ladder=yes\n")
 
     def test_line_without_equals(self):
         with pytest.raises(ConfigError, match="key=value") as exc:
@@ -241,13 +251,31 @@ class TestMainInProcess:
         art = cli.run_polarization(cfg)
         assert art.results["static_identity_gap"] <= 1e-6
 
-    @pytest.mark.parametrize("key", ["units.hbar", "tolerances.series"])
+    @pytest.mark.parametrize("key", ["units.hbar", "tolerances.series", "kernel.ladder",
+                                     "kernel.regime", "source.channel"])
     def test_unread_keys_are_unknown(self, key, tmp_path, capsys):
-        # these keys changed the config hash but no result
+        # these keys changed the config hash but no result, or had one working value
         p = tmp_path / "c.cfg"
         p.write_text(f"subcommand=debye\n{key}=2.0\n")
         assert cli.main(["debye", "--config", str(p), "--quiet"]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_ground_state_decay_derives_its_regime(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("subcommand=decay\nparams.beta=inf\nkernel.mc_samples=100000\n")
+        assert cli.main(["decay", "--config", str(p), "--quiet"]) == 0
+
+    def test_unknown_polarization_channel_is_not_replaced(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("subcommand=polarization\nkernel.channel=spatial_p\n")
+        assert cli.main(["polarization", "--config", str(p), "--quiet"]) == 1
+        assert "'spatial_p'" in capsys.readouterr().err
+
+    def test_zero_charge_is_config_error(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("subcommand=screening\nsource.charge_q=0.0\n")
+        assert cli.main(["screening", "--config", str(p), "--quiet"]) == 2
+        assert "source.charge_q" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["debye", "--config", str(tmp_path / "nope.cfg")]) == 2

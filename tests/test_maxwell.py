@@ -42,7 +42,7 @@ class TestSourceSpec:
     def test_constructors(self):
         s = SourceSpec.smoothed_point(0.1, charge_q=2.0)
         assert s.family == "smoothed_point" and s.width == 0.1 and s.charge_q == 2.0
-        assert SourceSpec.gaussian(1.5).channel == "temporal"
+        assert SourceSpec.gaussian(1.5).family == "gaussian"
         assert SourceSpec.uniform_ball(3.0).family == "uniform_ball"
 
     def test_validation(self):
@@ -56,8 +56,6 @@ class TestSourceSpec:
             SourceSpec.smoothed_point(math.inf)
         with pytest.raises(ValueError):
             SourceSpec.gaussian(1.0, charge_q=math.nan)
-        with pytest.raises(ValueError):
-            SourceSpec("gaussian", 1.0, 1.0, "longitudinal")
 
 
 class TestSourceFourier:
@@ -265,9 +263,6 @@ class TestZerothOrderProfiles:
         src = SourceSpec.gaussian(1.0)
         with pytest.raises(ValueError):
             screening_profile(src, UNIT, "half_order", [1.0], 1e-7)
-        with pytest.raises(ValueError):
-            screening_profile(SourceSpec.gaussian(1.0, channel="spatial"),
-                              UNIT, "zeroth_order", [1.0], 1e-7)
         with pytest.raises(ValueError):
             screening_profile(src, ThermalParams(beta=math.inf, mass=0.0),
                               "zeroth_order", [1.0], 1e-7)
