@@ -10,8 +10,10 @@ Yukawa propagator) and the full momentum-dependent kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -135,6 +137,7 @@ def default_r_grid(m_d_sq: float) -> list[float]:
     return list(np.geomspace(lo, hi, n))
 
 
+@functools.lru_cache(maxsize=8)
 def _full_denominator_model(params: ThermalParams, m_d_sq: float, tol: float):
     """Momentum-dependent denominator as a cheap callable.
 
@@ -147,6 +150,9 @@ def _full_denominator_model(params: ThermalParams, m_d_sq: float, tol: float):
     the same effect. Beyond the cutoff the kernel is continued by an
     a/p^2 + b/p^4 tail matched in value and slope at P; the contact term
     stays exact. Any nonpositive denominator on the probe set aborts.
+    The model does not depend on the source, so it is built once per
+    (params, m_d_sq, tol) and shared by every profile that asks for it;
+    its diagnostics are read-only for that reason.
     """
     beta_scale = 1.0 / params.beta if math.isfinite(params.beta) else 0.0
     cut = 12.0 * max(math.sqrt(m_d_sq), beta_scale, 0.25)
@@ -191,7 +197,7 @@ def _full_denominator_model(params: ThermalParams, m_d_sq: float, tol: float):
         bad = float(probes[probes > 0.0][np.argmax(vals <= 0.0)])
         raise PoleDetectedError(
             f"effective denominator nonpositive near p = {bad:.6g}", p_tilde=bad)
-    return den, {"cutoff": cut, "scan_points": n_nodes}
+    return den, MappingProxyType({"cutoff": cut, "scan_points": n_nodes})
 
 
 def screening_profile(source: SourceSpec, params: ThermalParams, mode: str,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as _scipy_quad
 from scipy.special import erf, erfc
 
+from debye_screen import maxwell
 from debye_screen.debye import debye_mass_sq
 from debye_screen.errors import ConvergenceError, PoleDetectedError
 from debye_screen.maxwell import (
@@ -299,6 +300,25 @@ class TestFullKernelProfiles:
         full = screening_profile(src, UNIT, "full_kernel", [0.5 / md], 1e-7)
         zer = screening_profile(src, UNIT, "zeroth_order", [0.5 / md], 1e-7)
         assert full.values[0] > zer.values[0]
+
+    def test_denominator_scanned_once_per_kernel(self, monkeypatch):
+        # the model depends on the kernel, not on the source, so a width
+        # ladder scans once; a fresh build gives the same values
+        scans = []
+        real_scan = maxwell.scan_kernel
+        monkeypatch.setattr(maxwell, "scan_kernel",
+                            lambda *args: scans.append(args) or real_scan(*args))
+        maxwell._full_denominator_model.cache_clear()
+        radii = [1.0, 3.0]
+        ladder = [screening_profile(SourceSpec.smoothed_point(w), UNIT, "full_kernel",
+                                    radii, 1e-7) for w in (0.2, 0.1)]
+        assert len(scans) == 1
+        maxwell._full_denominator_model.cache_clear()
+        fresh = screening_profile(SourceSpec.smoothed_point(0.1), UNIT, "full_kernel",
+                                  radii, 1e-7)
+        assert len(scans) == 2
+        assert fresh.values == ladder[1].values
+        assert fresh.tolerances == ladder[1].tolerances
 
     def test_pole_propagates(self):
         strong = ThermalParams(beta=1.0, mass=1.0, a1=2.0)

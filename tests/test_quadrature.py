@@ -228,6 +228,42 @@ class TestSineTransform:
         with pytest.raises(ConvergenceError, match=match):
             sine_transform_radial(lambda p: 1.0 / (p * p + 25.0), [10.0], 1e-7)
 
+    @pytest.mark.parametrize("r", [10.0, 20.0])
+    def test_big_float_rerun_is_bounded(self, r):
+        # e^{-mu r} sits 22 and 44 digits below the lobe mass
+        vals, _errs, evals = _sine_transform_diag(lambda p: 1.0 / (p * p + 25.0), [r], 1e-7)
+        assert vals[0] == pytest.approx(math.exp(-5.0 * r) / (4.0 * math.pi * r), rel=1e-6)
+        assert evals < 10_000
+
+    def test_big_float_rerun_restores_precision(self):
+        from mpmath import mp
+
+        def f_hat(p):
+            # maps mpmath floats at the decay probes, fails inside the rerun
+            if isinstance(p, mp.mpf) and p < 1:
+                raise ArithmeticError("no big floats below p = 1")
+            return 1.0 / (p * p + 25.0)
+
+        before = mp.dps
+        sine_transform_radial(lambda p: 1.0 / (p * p + 25.0), [10.0], 1e-7)
+        assert mp.dps == before
+        with pytest.raises(ArithmeticError):
+            sine_transform_radial(f_hat, [10.0], 1e-7)
+        assert mp.dps == before
+
+    def test_big_float_passes_must_agree(self, monkeypatch):
+        # a confirming rule whose weights are 1e-5 off cannot confirm
+        # the first pass to tol 1e-7
+        rule = quadrature._mp_gauss_legendre
+
+        def skewed(degree, prec):
+            nodes = rule(degree, prec)
+            return [(x, w * 1.00001) for x, w in nodes] if degree == 4 else nodes
+
+        monkeypatch.setattr(quadrature, "_mp_gauss_legendre", skewed)
+        with pytest.raises(ConvergenceError, match="big-float rerun at r = 10.0"):
+            sine_transform_radial(lambda p: 1.0 / (p * p + 25.0), [10.0], 1e-7)
+
     def test_slow_decay_rejected(self):
         with pytest.raises(ValueError):
             sine_transform_radial(lambda p: 1.0 / (1.0 + p), [1.0], 1e-6)
