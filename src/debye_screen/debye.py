@@ -126,6 +126,10 @@ def debye_mass_sq_integral(params: ThermalParams, tol: float = 1e-10) -> DebyeRe
             integrand, 1.0 / beta,
             max(tol * value / max(pref, 1e-300), 1e-300), rel_tol=tol)
         value = max(pref * quad.value, 0.0)
+    if not quad.converged:
+        raise ConvergenceError(
+            f"Debye mass integral did not converge: error {pref * quad.error_estimate:.3e} "
+            f"on value {value:.3e}", estimate=value, error_estimate=pref * quad.error_estimate)
     return _result(value, "integral", quad)
 
 

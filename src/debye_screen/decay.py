@@ -369,6 +369,12 @@ def verify_bound_ratio(kernel_config: KernelConfig, bound_config: BoundConfig,
         excluded=tuple(excluded), bounded=slope <= 0.01)
 
 
+def _norms(a: np.ndarray) -> np.ndarray:
+    """Row lengths of an (n, 3) block."""
+    r = np.einsum("ij,ij->i", a, a)
+    return np.sqrt(r, out=r)
+
+
 def lemma2_check(n_samples: int, seed: int) -> QuadratureResult:
     """Monte Carlo value of the triple-cubic 6D integral with its stderr."""
     if n_samples < 100000:
@@ -376,10 +382,10 @@ def lemma2_check(n_samples: int, seed: int) -> QuadratureResult:
     sampler = CubicBallSampler()
 
     def integrand(xs, ys):
-        rx = np.linalg.norm(xs, axis=1)
-        ry = np.linalg.norm(ys, axis=1)
-        rxy = np.linalg.norm(xs - ys, axis=1)
-        return ((1.0 + rx) * (1.0 + ry) * (1.0 + rxy)) ** -3.0
+        p = 1.0 + _norms(xs)
+        p *= 1.0 + _norms(ys)
+        p *= 1.0 + _norms(xs - ys)
+        return 1.0 / (p * p * p)
 
     return monte_carlo_6d(integrand, sampler, n_samples, seed)
 
@@ -410,10 +416,12 @@ def lemma2_divergence_control(radii=(10.0, 100.0, 1000.0),
     estimates = []
     for r_cut in rads:
         def integrand(xs, ys, r_cut=r_cut):
-            rx = np.linalg.norm(xs, axis=1)
-            ry = np.linalg.norm(ys, axis=1)
+            rx = _norms(xs)
+            ry = _norms(ys)
             inside = (rx < r_cut) & (ry < r_cut)
-            return inside * ((1.0 + rx) * (1.0 + ry)) ** -3.0
+            p = (1.0 + rx) * (1.0 + ry)
+            del rx, ry
+            return inside / (p * p * p)
 
         estimates.append(monte_carlo_6d(integrand, sampler, n_samples, seed).value)
     growing = all(a < b for a, b in zip(estimates, estimates[1:]))

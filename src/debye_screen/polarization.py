@@ -173,6 +173,11 @@ def b_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float = 
     quad = integrate_semi_infinite(
         integrand, 0.5, tol / max(pref, 1e-300), rel_tol=1e-10,
     )
+    if not quad.converged:
+        raise ConvergenceError(
+            f"spatial vacuum kernel at |pt| = {p_tilde_mag} did not converge: error "
+            f"{pref * quad.error_estimate:.3e} on value {base + pref * quad.value:.3e}",
+            estimate=base + pref * quad.value, error_estimate=pref * quad.error_estimate)
     return base + pref * quad.value
 
 

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from debye_screen import debye
 from debye_screen.debye import (
     UnitSystem,
     debye_length,
@@ -12,6 +13,8 @@ from debye_screen.debye import (
     debye_mass_sq_series,
     debye_mass_sq_si,
 )
+from debye_screen.errors import ConvergenceError
+from debye_screen.quadrature import QuadratureResult
 from debye_screen.specfun import ThermalParams, bessel_k
 
 BETA_GRID = (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -63,6 +66,17 @@ class TestIntegralRoute:
     def test_ground_state(self):
         res = debye_mass_sq_integral(ThermalParams(beta=math.inf, mass=0.5))
         assert res.m_d_sq == 0.0
+
+    def test_unconverged_integral_raises(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            return QuadratureResult(value=2.0, error_estimate=0.5, evaluations=21,
+                                    converged=False)
+
+        monkeypatch.setattr(debye, "integrate_semi_infinite", unconverged)
+        with pytest.raises(ConvergenceError) as exc:
+            debye_mass_sq_integral(ThermalParams(beta=1.0, mass=0.0), 1e-9)
+        assert exc.value.estimate == pytest.approx(2.0 / math.pi ** 2)
+        assert exc.value.error_estimate == pytest.approx(0.5 / math.pi ** 2)
 
 
 class TestCrossMethod:

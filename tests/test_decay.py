@@ -1,6 +1,8 @@
 """Kernel decay fits, graph bounds, and the 6D convergence Monte Carlo."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -447,6 +449,28 @@ class TestLemma2:
         res = lemma2_check(200000, 2026)
         assert abs(res.value - self.ORACLE) <= 3.0 * res.error_estimate
         assert res.converged
+
+    def test_estimates_pinned(self):
+        # values of the earlier log-grid sampler; a real change to the sample
+        # stream or to the chunking would move them at the 1e-2 level
+        res = lemma2_check(200000, 2026)
+        assert res.value == pytest.approx(1.7020642168079911, rel=1e-12)
+        assert res.error_estimate == pytest.approx(0.0821398959183877, rel=1e-12)
+        rep = lemma2_divergence_control()
+        assert rep.estimates == pytest.approx(
+            (183.5705102205596, 1540.997094747554, 4610.410566498356), rel=1e-12)
+
+    def test_memory(self):
+        # tracemalloc sees numpy's buffers; 34.1 MiB was the peak of one
+        # single-worker chunk with the earlier log-grid sampler
+        tracemalloc.start()
+        try:
+            with mock.patch("os.cpu_count", return_value=1):
+                lemma2_check(1 << 18, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34.1 * 2 ** 20
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):

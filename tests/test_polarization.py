@@ -265,6 +265,18 @@ class TestVacuumPiece:
         assert all(v > 0.0 for v in vals)
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_unconverged_integral_raises(self, monkeypatch):
+        def unconverged(*args, **kwargs):
+            return QuadratureResult(value=2.0, error_estimate=0.5, evaluations=21,
+                                    converged=False)
+
+        monkeypatch.setattr(polarization, "integrate_semi_infinite", unconverged)
+        pref = 16.0 / (3.0 * (2.0 * math.pi) ** 5)   # at pt = e = 1, a1 = 0
+        with pytest.raises(ConvergenceError) as exc:
+            b_hat("spatial", 1.0, UNIT, 1e-10)
+        assert exc.value.estimate == pytest.approx(2.0 * pref)
+        assert exc.value.error_estimate == pytest.approx(0.5 * pref)
+
     def test_massless_spatial_refused(self):
         with pytest.raises(InfraredDivergenceError):
             b_hat("spatial", 1.0, ThermalParams(beta=1.0, mass=0.0), 1e-10)

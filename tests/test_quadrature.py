@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -353,8 +354,8 @@ class TestCubicBallSampler:
     def test_radial_law(self):
         s = CubicBallSampler()
         rng = np.random.default_rng(0)
-        x = s._draw_vectors(rng, 100_000)
-        r = np.linalg.norm(x, axis=1)
+        x, r = s._draw_vectors(rng, 100_000)
+        assert np.allclose(np.linalg.norm(x, axis=1), r, rtol=1e-14, atol=0.0)
         # P(r<1) for density prop to (1+r)^{-3}: ratio of radial masses
         from scipy.integrate import quad
 
@@ -362,6 +363,47 @@ class TestCubicBallSampler:
         den = quad(lambda t: t * t / (1 + t) ** 3, 0, s.radius)[0]
         frac = np.mean(r < 1.0)
         assert frac == pytest.approx(num / den, abs=4.0 * math.sqrt(0.01 / 100_000) + 2e-3)
+
+    def test_inverse_cdf_matches_root_finder(self):
+        from scipy.optimize import brentq
+
+        s = CubicBallSampler()
+        us = np.concatenate([
+            [1e-15, 1e-10, 1e-6, 1e-3, 0.5, 1.0 - 1e-6, 1.0 - 1e-12],
+            np.random.default_rng(4).random(500),
+        ])
+        r = s._invert(us.copy())
+        assert np.all(r <= s.radius)
+        eps = np.finfo(float).eps
+        for u, ri in zip(us, r):
+            t = u * s._norm
+            ref = brentq(lambda q: float(s._cdf_raw(q)) - t, 0.0, s.radius,
+                         xtol=1e-30, rtol=4.0 * eps, maxiter=500)
+            # _cdf_raw is a difference of O(1) terms, so its rounding (a few
+            # eps) leaves the root uncertain by eps / cdf'(r) at small r
+            floor = 4.0 * eps * (1.0 + ref) ** 3 / (ref * ref)
+            assert abs(ri - ref) <= max(1e-12 * ref, floor), u
+
+    def test_inverse_cdf_endpoints(self):
+        s = CubicBallSampler()
+        # rng.random can return 0, and cbrt rounds its largest values up to 1
+        r = s._invert(np.array([0.0, np.nextafter(1.0, 0.0), 1.0]))
+        assert r[0] == 0.0
+        assert r[1] == pytest.approx(s.radius, rel=1e-12) and r[1] <= s.radius
+        assert r[2] == s.radius
+
+    def test_draw_memory(self):
+        # tracemalloc sees numpy's buffers; 28.1 MiB was the peak of the
+        # earlier log-grid sampler
+        s = CubicBallSampler()
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            s.draw(rng, 1 << 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28.1 * 2 ** 20
 
     def test_truncation_bias_small(self):
         s = CubicBallSampler()
