@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError
-from .quadrature import QuadratureResult, integrate_semi_infinite
+from .quadrature import integrate_semi_infinite
 from .specfun import (
     SeriesResult,
     ThermalParams,
@@ -104,6 +104,7 @@ def debye_mass_sq_integral(params: ThermalParams, tol: float = 1e-10) -> DebyeRe
 
     Direct radial form of the momentum integral defining the square
     mass; valid for any mass, canonical for m = 0 and small beta*m.
+    tol is relative: one integral to tol * m_D^2, in every regime.
     """
     if params.is_ground:
         return _ground_result("integral")
@@ -114,18 +115,8 @@ def debye_mass_sq_integral(params: ThermalParams, tol: float = 1e-10) -> DebyeRe
         f = fermi_factor(beta, dispersion(p, m))
         return p * p * f * (1.0 - f)
 
-    # the massless value bounds the massive one from above, so it sets the
-    # first absolute target; a second pass rescales when the mass term has
-    # suppressed the result far below that bound
-    scale = params.charge_e ** 2 / (6.0 * beta * beta)
-    quad = integrate_semi_infinite(integrand, 1.0 / beta,
-                                   tol * scale / max(pref, 1e-300), rel_tol=tol)
+    quad = integrate_semi_infinite(integrand, 1.0 / beta, 1e-300, rel_tol=tol)
     value = max(pref * quad.value, 0.0)
-    if 0.0 < value < 0.05 * scale:
-        quad = integrate_semi_infinite(
-            integrand, 1.0 / beta,
-            max(tol * value / max(pref, 1e-300), 1e-300), rel_tol=tol)
-        value = max(pref * quad.value, 0.0)
     if not quad.converged:
         raise ConvergenceError(
             f"Debye mass integral did not converge: error {pref * quad.error_estimate:.3e} "

@@ -34,7 +34,7 @@ __all__ = [
     "default_r_grid",
 ]
 
-_FAMILIES = ("smoothed_point", "gaussian", "uniform_ball")
+_FAMILIES = ("smoothed_point", "uniform_ball")
 _MODES = ("zeroth_order", "full_kernel")
 
 
@@ -42,8 +42,8 @@ _MODES = ("zeroth_order", "full_kernel")
 class SourceSpec:
     """Radially symmetric classical charge density (a temporal source) of total charge q.
 
-    ``width`` is the family parameter: the mollifier width epsilon, the
-    Gaussian sigma, or the ball radius.
+    ``width`` is the family parameter: the width epsilon of the
+    Gaussian mollifier of a smoothed point, or the ball radius.
     """
 
     family: str
@@ -61,10 +61,6 @@ class SourceSpec:
     @classmethod
     def smoothed_point(cls, epsilon: float, charge_q: float = 1.0) -> "SourceSpec":
         return cls("smoothed_point", epsilon, charge_q)
-
-    @classmethod
-    def gaussian(cls, sigma: float, charge_q: float = 1.0) -> "SourceSpec":
-        return cls("gaussian", sigma, charge_q)
 
     @classmethod
     def uniform_ball(cls, radius: float, charge_q: float = 1.0) -> "SourceSpec":
@@ -107,8 +103,8 @@ def source_fourier(source: SourceSpec, p_mag):
         raise ValueError(f"p_mag must be >= 0, got {p_mag}")
     q = source.charge_q
     w = source.width
-    if source.family == "smoothed_point" or source.family == "gaussian":
-        # Gaussian mollifier of width w in both cases
+    if source.family == "smoothed_point":
+        # Gaussian mollifier of width w
         out = q * np.exp(-0.5 * w * w * p * p)
     else:
         x = p * w

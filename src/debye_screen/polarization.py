@@ -64,16 +64,17 @@ def _f_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float) 
     With the angle integrated in closed form (Kapusta & Gale 2006, ch. 5-6;
     Le Bellac 1996),
 
-        f_hat = -(e^2/pi^2) int_0^inf k^2/E n_F(E) B(k) dk,  E = sqrt(k^2 + m^2),
+        f_hat = -(e^2/pi^2) int_0^inf (w(k) + a(k) L(k)) dk,  w = k^2/E n_F(E),
 
-    where L = ln|(2k + pt)/(2k - pt)| and B = 1 + (4E^2 - pt^2)/(4 k pt) L
-    in the temporal channel, B = 1 - (pt/4k) L in the spatial one. The
-    integral is split at the logarithmic point pt/2, at pt, and at pt 8^j
-    while below the thermal scale (1+m)/beta, so that panels far wider
-    than pt still resolve the structure at scale pt. The absolute target
-    is tol; a result too small for it to carry relative accuracy is
-    computed again to tol * |value|. Raises ConvergenceError when the
-    integral misses its target.
+    where E = sqrt(k^2 + m^2), L = ln|(2k + pt)/(2k - pt)|, and
+    a = w (4E^2 - pt^2)/(4 k pt) in the temporal channel, a = -w pt/(4k)
+    in the spatial one. The log singularity at pt/2 is integrated in
+    closed form: on [0, pt] the integrand is w + (a - a(pt/2)) L plus the
+    constant a(pt/2) (3 ln 3)/2, whose integral is a(pt/2) int_0^pt L dk.
+    The integral is split at pt/2, at pt, and at pt 8^j while below the
+    thermal scale (1+m)/beta, so that panels far wider than pt still
+    resolve the structure at scale pt. tol is relative: one integral to
+    tol * |f_hat|. Raises ConvergenceError when it misses that target.
     """
     _check_channel(channel)
     if p_tilde_mag < 0.0:
@@ -97,42 +98,42 @@ def _f_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float) 
     while 8.0 * points[-1] < scale:
         points.append(8.0 * points[-1])
 
-    def integrand(k):
+    def parts(k):
         e = dispersion(k, m)
+        w = k * k / e * fermi_factor(beta, e)
+        if temporal:
+            return w, w * (4.0 * e * e - pt * pt) / (4.0 * k * pt)
+        return w, -w * pt / (4.0 * k)
+
+    a_half = parts(0.5 * pt)[1]   # 0 in the massless temporal channel
+    log_mean = 1.5 * math.log(3.0)   # (1/pt) int_0^pt L dk
+
+    def integrand(k):
+        w, a = parts(k)
         # log1p keeps L accurate for k far from pt/2 on either side; pt/2 is
         # a breakpoint, so only a node rounded onto it meets k = pt/2, where
         # a large finite L keeps the panel sum finite instead of raising
         log = math.log1p(2.0 * min(pt, 2.0 * k) / (abs(2.0 * k - pt) or math.ulp(pt)))
-        if temporal:
-            bracket = 1.0 + (4.0 * e * e - pt * pt) / (4.0 * k * pt) * log
-        else:
-            bracket = 1.0 - pt / (4.0 * k) * log
-        return k * k / e * fermi_factor(beta, e) * bracket
+        if k < pt:
+            return w + (a - a_half) * log + a_half * log_mean
+        return w + a * log
 
-    def integral(target):
-        res = integrate_semi_infinite(integrand, scale, target / c, points=points)
-        if not res.converged:
-            raise ConvergenceError(
-                f"{channel} kernel at |pt| = {pt} did not converge: error "
-                f"{c * res.error_estimate:.3e} on value {-c * res.value:.3e}",
-                estimate=-c * res.value, error_estimate=c * res.error_estimate)
-        return -c * res.value
-
-    value = integral(tol)
-    if 0.0 < abs(value) < 1e3 * tol:
-        # the absolute target leaves a kernel this small (the cold regime)
-        # without relative accuracy; rescale it, as debye_mass_sq_integral does
-        value = integral(tol * abs(value))
-    return value
+    res = integrate_semi_infinite(integrand, scale, 1e-300, rel_tol=tol, points=points)
+    if not res.converged:
+        raise ConvergenceError(
+            f"{channel} kernel at |pt| = {pt} did not converge: error "
+            f"{c * res.error_estimate:.3e} on value {-c * res.value:.3e}",
+            estimate=-c * res.value, error_estimate=c * res.error_estimate)
+    return -c * res.value
 
 
 def f_hat_temporal(p_tilde_mag: float, params: ThermalParams, tol: float = 1e-8) -> float:
-    """Temporal-channel thermal kernel; -m_D^2 at zero momentum."""
+    """Temporal-channel thermal kernel to relative tol; -m_D^2 at zero momentum."""
     return _f_hat("temporal", p_tilde_mag, params, tol)
 
 
 def f_hat_spatial(p_tilde_mag: float, params: ThermalParams, tol: float = 1e-8) -> float:
-    """Spatial-channel thermal kernel; 0 at zero momentum."""
+    """Spatial-channel thermal kernel to relative tol; 0 at zero momentum."""
     return _f_hat("spatial", p_tilde_mag, params, tol)
 
 
@@ -143,6 +144,7 @@ def b_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float = 
     The spectral integral runs over invariant mass squared from the pair
     threshold (2m)^2; the substitution s = 4m^2 (cosh u)^2 removes the
     square-root edge and turns the 1/(4 v^3) tail exponential in u.
+    tol is relative to the spectral integral, met in one integral.
     """
     _check_channel(channel)
     if p_tilde_mag < 0.0:
@@ -170,9 +172,7 @@ def b_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float = 
         return jac * v * v * (1.5 * m2 + 0.25 * v * v) / (s ** 2.5 * (pt2 + s))
 
     pref = 16.0 * params.charge_e ** 2 * pt2 * pt2 / (3.0 * (2.0 * math.pi) ** 5)
-    quad = integrate_semi_infinite(
-        integrand, 0.5, tol / max(pref, 1e-300), rel_tol=1e-10,
-    )
+    quad = integrate_semi_infinite(integrand, 0.5, 1e-300, rel_tol=tol)
     if not quad.converged:
         raise ConvergenceError(
             f"spatial vacuum kernel at |pt| = {p_tilde_mag} did not converge: error "
@@ -202,8 +202,9 @@ def effective_denominator(channel: str, p_tilde_mag: float, params: ThermalParam
 def scan_kernel(channel: str, p_grid, params: ThermalParams, tol: float = 1e-8) -> KernelScan:
     """Evaluate both kernels and the denominator over a momentum grid.
 
-    Points evaluate in grid order; any failure aborts the scan carrying
-    the completed points as diagnostic.
+    tol is relative for each kernel value. Points evaluate in grid
+    order; any failure aborts the scan carrying the completed points as
+    diagnostic.
     """
     _check_channel(channel)
     grid = [float(p) for p in p_grid]

@@ -537,12 +537,6 @@ def sine_transform_radial(f_hat, r_grid, tol: float) -> list[float]:
     ConvergenceError is raised where a value misses tol and no rerun can
     mend it, or where the two big-float passes do not agree to tol.
     """
-    vals, _errs, _n = _sine_transform_diag(f_hat, r_grid, tol)
-    return vals
-
-
-def _sine_transform_diag(f_hat, r_grid, tol: float):
-    """sine_transform_radial plus per-radius error estimates and work count."""
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
     rg = [float(r) for r in r_grid]
@@ -558,10 +552,9 @@ def _sine_transform_diag(f_hat, r_grid, tol: float):
             f"(|f|p^2 grew from {abs(probe[0]) * p1 * p1:.3e} to {abs(probe[1]) * p2 * p2:.3e})"
         )
 
-    values, errs = [], []
-    total_evals = 0
+    values = []
     for r in rg:
-        v, e, n, acc = _osc_integral(lambda p: np.asarray(f_hat(p)) * p, r, "sin", tol)
+        v, e, _, acc = _osc_integral(lambda p: np.asarray(f_hat(p)) * p, r, "sin", tol)
         c = 1.0 / (2.0 * math.pi ** 2 * r)
         if e > tol * abs(v):
             if _past_rounding(e, acc):
@@ -576,17 +569,14 @@ def _sine_transform_diag(f_hat, r_grid, tol: float):
                     f"double precision is exhausted at r = {r}: value {c * v:.3e} has a"
                     f" rounding error of {c * e:.3e}, and f_hat does not return mpmath"
                     " floats for a big-float rerun", estimate=c * v, error_estimate=c * e)
-            v2, e2, n2, ok = _osc_integral_mp(lambda p: f_hat(p) * p, r, tol)
-            n += n2
+            v_mp, _, _, ok = _osc_integral_mp(lambda p: f_hat(p) * p, r, tol)
             if not ok:
                 raise ConvergenceError(
                     f"big-float rerun at r = {r} did not converge", estimate=c * v,
                     error_estimate=c * e)
-            v, e = v2, e2
+            v = v_mp
         values.append(c * v)
-        errs.append(c * e)
-        total_evals += n
-    return values, errs, total_evals
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +584,8 @@ def _sine_transform_diag(f_hat, r_grid, tol: float):
 # ---------------------------------------------------------------------------
 
 _MC_CHUNK = 1 << 18
+# 1/k for k = 60 down to 3: Horner coefficients of sum_{k>=3} s^k/k at s < 1/2
+_CDF_SERIES = tuple(1.0 / k for k in range(60, 2, -1))
 
 
 class CubicBallSampler:
@@ -635,10 +627,24 @@ class CubicBallSampler:
 
     @staticmethod
     def _cdf_raw(r):
-        """int_0^r s^2/(1+s)^3 ds, exact antiderivative."""
+        """int_0^r x^2/(1+x)^3 dx, exact antiderivative.
+
+        The closed form is a difference of O(1) terms, so below r = 1,
+        where the value is O(r^3), the series sum_{k>=3} s^k/k in
+        s = r/(1+r) < 1/2 is summed instead; it has no cancellation.
+        """
         r = np.asarray(r, dtype=float)
         u = 1.0 + r
-        return np.log1p(r) + 2.0 / u - 0.5 / (u * u) - 1.5
+        out = np.asarray(np.log1p(r) + 2.0 / u - 0.5 / (u * u) - 1.5)
+        small = r < 1.0
+        if small.any():
+            s = r[small] / u[small]
+            acc = np.full_like(s, _CDF_SERIES[0])
+            for c in _CDF_SERIES[1:]:
+                acc *= s
+                acc += c
+            out[small] = acc * s * s * s
+        return out if out.ndim else float(out)
 
     def _newton(self, r: np.ndarray, t: np.ndarray, steps: int) -> None:
         """Newton steps on cdf(r) = t in place, keeping r in [0, radius]."""

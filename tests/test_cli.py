@@ -277,6 +277,13 @@ class TestMainInProcess:
         assert cli.main(["screening", "--config", str(p), "--quiet"]) == 2
         assert "source.charge_q" in capsys.readouterr().err
 
+    def test_gaussian_source_family_is_config_error(self, tmp_path, capsys):
+        # a gaussian source was the smoothed point under a second name
+        p = tmp_path / "c.cfg"
+        p.write_text("subcommand=screening\nsource.family=gaussian\n")
+        assert cli.main(["screening", "--config", str(p), "--quiet"]) == 2
+        assert "'gaussian'" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["debye", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "config error" in capsys.readouterr().err

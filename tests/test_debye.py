@@ -67,6 +67,23 @@ class TestIntegralRoute:
         res = debye_mass_sq_integral(ThermalParams(beta=math.inf, mass=0.5))
         assert res.m_d_sq == 0.0
 
+    @pytest.mark.parametrize("beta_m", [20.0, 30.0, 100.0])
+    def test_suppressed_mass_takes_one_pass(self, monkeypatch, beta_m):
+        # tol is relative, so a mass term that suppresses m_D^2 by
+        # e^{-beta m} needs no second, rescaled pass
+        calls = []
+        inner = debye.integrate_semi_infinite
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(debye, "integrate_semi_infinite", counted)
+        tp = ThermalParams(beta=20.0, mass=beta_m / 20.0)
+        got = debye_mass_sq_integral(tp, 1e-10).m_d_sq
+        assert len(calls) == 1 and calls[0]["rel_tol"] == 1e-10
+        assert got == pytest.approx(debye_mass_sq_series(tp, 1e-13).m_d_sq, rel=1e-10)
+
     def test_unconverged_integral_raises(self, monkeypatch):
         def unconverged(*args, **kwargs):
             return QuadratureResult(value=2.0, error_estimate=0.5, evaluations=21,

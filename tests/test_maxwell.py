@@ -43,33 +43,35 @@ class TestSourceSpec:
     def test_constructors(self):
         s = SourceSpec.smoothed_point(0.1, charge_q=2.0)
         assert s.family == "smoothed_point" and s.width == 0.1 and s.charge_q == 2.0
-        assert SourceSpec.gaussian(1.5).family == "gaussian"
         assert SourceSpec.uniform_ball(3.0).family == "uniform_ball"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SourceSpec("lorentzian", 1.0)
         with pytest.raises(ValueError):
-            SourceSpec.gaussian(0.0)
+            # the same transform as smoothed_point, so it is not a second family
+            SourceSpec("gaussian", 1.0)
         with pytest.raises(ValueError):
-            SourceSpec.gaussian(-1.0)
+            SourceSpec.smoothed_point(0.0)
+        with pytest.raises(ValueError):
+            SourceSpec.smoothed_point(-1.0)
         with pytest.raises(ValueError):
             SourceSpec.smoothed_point(math.inf)
         with pytest.raises(ValueError):
-            SourceSpec.gaussian(1.0, charge_q=math.nan)
+            SourceSpec.smoothed_point(1.0, charge_q=math.nan)
 
 
 class TestSourceFourier:
     @pytest.mark.parametrize("src", [
         SourceSpec.smoothed_point(0.3, 1.7),
-        SourceSpec.gaussian(2.0, -0.4),
+        SourceSpec.smoothed_point(2.0, -0.4),
         SourceSpec.uniform_ball(5.0, 3.0),
     ])
     def test_total_charge_at_zero_momentum(self, src):
         assert source_fourier(src, 0.0) == src.charge_q
 
     def test_gaussian_closed_form(self):
-        s = SourceSpec.gaussian(1.0, 1.0)
+        s = SourceSpec.smoothed_point(1.0, 1.0)
         assert source_fourier(s, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
     def test_ball_small_momentum_taylor(self):
@@ -95,13 +97,13 @@ class TestSourceFourier:
 
     def test_negative_momentum_rejected(self):
         with pytest.raises(ValueError):
-            source_fourier(SourceSpec.gaussian(1.0), -0.1)
+            source_fourier(SourceSpec.smoothed_point(1.0), -0.1)
         with pytest.raises(ValueError):
-            source_fourier(SourceSpec.gaussian(1.0), np.array([0.5, -0.1]))
+            source_fourier(SourceSpec.smoothed_point(1.0), np.array([0.5, -0.1]))
 
     @pytest.mark.parametrize("src", [
         SourceSpec.smoothed_point(0.3, 1.7),
-        SourceSpec.gaussian(2.0, -0.4),
+        SourceSpec.smoothed_point(2.0, -0.4),
         SourceSpec.uniform_ball(5.0, 3.0),
     ])
     def test_array_matches_scalar(self, src):
@@ -151,7 +153,7 @@ class TestDefaultGrid:
 
 class TestRadialProfileValidation:
     def test_rejects_bad_grids(self):
-        src = SourceSpec.gaussian(1.0)
+        src = SourceSpec.smoothed_point(1.0)
         with pytest.raises(ValueError):
             RadialProfile((2.0, 1.0), (0.1, 0.2), "zeroth_order", src, UNIT)
         with pytest.raises(ValueError):
@@ -197,12 +199,12 @@ class TestZerothOrderProfiles:
         m_d = math.sqrt(debye_mass_sq(hot, 1e-8).m_d_sq)
         start = time.perf_counter()
         with pytest.raises(ConvergenceError, match="double precision is exhausted at r = 19.6"):
-            screening_profile(SourceSpec.gaussian(0.5), hot, "zeroth_order", [40.0 / m_d], 1e-7)
+            screening_profile(SourceSpec.smoothed_point(0.5), hot, "zeroth_order", [40.0 / m_d], 1e-7)
         assert time.perf_counter() - start < 10.0
 
     def test_unscreened_gaussian_is_erf_profile(self):
         prof = screening_profile(
-            SourceSpec.gaussian(1.0), COULOMB, "zeroth_order", [0.5, 2.0, 10.0], 1e-8)
+            SourceSpec.smoothed_point(1.0), COULOMB, "zeroth_order", [0.5, 2.0, 10.0], 1e-8)
         for r, v in zip(prof.r_grid, prof.values):
             want = erf(r / math.sqrt(2.0)) / (4.0 * math.pi * r)
             assert v == pytest.approx(want, rel=1e-8)
@@ -229,7 +231,7 @@ class TestZerothOrderProfiles:
         # (r A)'' = -r j for the Laplacian of a radial field; the finite
         # difference residual must shrink under grid refinement
         sigma = 1.0
-        src = SourceSpec.gaussian(sigma)
+        src = SourceSpec.smoothed_point(sigma)
 
         def residual(n):
             rg = list(np.linspace(0.4, 4.0, n))
@@ -248,9 +250,9 @@ class TestZerothOrderProfiles:
         assert ladder[2] < 1e-3
 
     def test_linearity_in_charge(self):
-        p1 = screening_profile(SourceSpec.gaussian(0.5, charge_q=1.0),
+        p1 = screening_profile(SourceSpec.smoothed_point(0.5, charge_q=1.0),
                                UNIT, "zeroth_order", [1.0, 3.0], 1e-9)
-        p2 = screening_profile(SourceSpec.gaussian(0.5, charge_q=2.5),
+        p2 = screening_profile(SourceSpec.smoothed_point(0.5, charge_q=2.5),
                                UNIT, "zeroth_order", [1.0, 3.0], 1e-9)
         for a, b in zip(p1.values, p2.values):
             assert 2.5 * a == pytest.approx(b, rel=1e-10)
@@ -261,7 +263,7 @@ class TestZerothOrderProfiles:
         assert prof.values[0] > prof.values[1] > prof.values[2] > 0.0
 
     def test_domain_errors(self):
-        src = SourceSpec.gaussian(1.0)
+        src = SourceSpec.smoothed_point(1.0)
         with pytest.raises(ValueError):
             screening_profile(src, UNIT, "half_order", [1.0], 1e-7)
         with pytest.raises(ValueError):
@@ -387,8 +389,8 @@ class TestDeltaFamilyLimit:
 @given(r=st.floats(min_value=0.3, max_value=6.0),
        q=st.floats(min_value=-2.0, max_value=2.0))
 def test_profile_scales_linearly_with_charge(r, q):
-    base = screening_profile(SourceSpec.gaussian(0.5, charge_q=1.0),
+    base = screening_profile(SourceSpec.smoothed_point(0.5, charge_q=1.0),
                              UNIT_MD, "zeroth_order", [r], 1e-8).values[0]
-    scaled = screening_profile(SourceSpec.gaussian(0.5, charge_q=q),
+    scaled = screening_profile(SourceSpec.smoothed_point(0.5, charge_q=q),
                                UNIT_MD, "zeroth_order", [r], 1e-8).values[0]
     assert scaled == pytest.approx(q * base, rel=1e-10, abs=1e-14)

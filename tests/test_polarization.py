@@ -127,6 +127,101 @@ def f_hat_2d(channel, pt, params, tol):
     return sign * c_f * res.value
 
 
+def f_hat_mp(channel, pt, beta, m, dps=30):
+    """The closed-angle kernel at ``dps`` digits by mpmath's tanh-sinh rule,
+    which takes the log point pt/2 as an endpoint singularity (e = 1)."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(dps):
+        pt, beta, m = mpf(pt), mpf(beta), mpf(m)
+
+        def g(k):
+            e = mp.sqrt(k * k + m * m)
+            log = mp.log(abs((2 * k + pt) / (2 * k - pt)))
+            if channel == "temporal":
+                b = 1 + (4 * e * e - pt * pt) / (4 * k * pt) * log
+            else:
+                b = 1 - pt / (4 * k) * log
+            return k * k / e / (mp.exp(beta * e) + 1) * b
+
+        cuts = [j / beta for j in (10, 40) if j / beta > pt]
+        return -mp.quad(g, [0, pt / 2, pt, *cuts, mp.inf]) / mp.pi ** 2
+
+
+def f_hat_scipy(channel, pt, params):
+    """The closed-angle kernel by QUADPACK, split at pt/2 and pt, to 1e-11 relative."""
+    beta, m = params.beta, params.mass
+
+    def g(k):
+        e = math.hypot(k, m)
+        log = math.log(abs((2.0 * k + pt) / (2.0 * k - pt)))
+        if channel == "temporal":
+            b = 1.0 + (4.0 * e * e - pt * pt) / (4.0 * k * pt) * log
+        else:
+            b = 1.0 - pt / (4.0 * k) * log
+        return k * k / e / (math.exp(min(beta * e, 700.0)) + 1.0) * b
+
+    opts = dict(epsabs=0.0, epsrel=1e-11, limit=400)
+    inner = _scipy_quad(g, 0.0, pt, points=[0.5 * pt], **opts)[0]
+    outer = _scipy_quad(g, pt, math.inf, **opts)[0]
+    return -params.charge_e ** 2 / math.pi ** 2 * (inner + outer)
+
+
+def b_hat_spectral_oracle(pt, m):
+    """Spatial vacuum piece as the threshold-form integral over invariant
+    mass squared, by QUADPACK (e = 1, a1 = 0)."""
+    m2, pt2 = m * m, pt * pt
+    pref = 16.0 * pt ** 4 / (3.0 * (2.0 * math.pi) ** 5)
+    raw = _scipy_quad(
+        lambda s: math.sqrt(s - 4 * m2) * (0.5 * m2 + 0.25 * s) / (s ** 2.5 * (pt2 + s)),
+        4 * m2, math.inf, limit=400, epsabs=0.0, epsrel=1e-13,
+    )[0]
+    return 0.5 * pref * raw
+
+
+class TestRelativeTolerance:
+    def test_hot_kernel_meets_a_tight_request(self):
+        # the absolute target of earlier versions could not reach 1e-12 here
+        got = f_hat_temporal(1.56, ThermalParams(beta=0.1, mass=1.0), 1e-12)
+        assert abs(got / float(f_hat_mp("temporal", 1.56, 0.1, 1.0)) - 1.0) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(channel=st.sampled_from(["temporal", "spatial"]),
+           beta=st.floats(0.1, 20.0),
+           mass=st.one_of(st.just(0.0), st.floats(0.05, 5.0)),
+           pt=st.floats(0.05, 5.0))
+    def test_matches_quadpack_to_relative_tol(self, channel, beta, mass, pt):
+        params = ThermalParams(beta=beta, mass=mass)
+        got = polarization._f_hat(channel, pt, params, 1e-9)
+        want = f_hat_scipy(channel, pt, params)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_spatial_vacuum_piece_is_relative(self):
+        # a target of tol / prefactor left this 1.4e-6 off
+        got = b_hat("spatial", 0.1, ThermalParams(beta=1.0, mass=0.3), 1e-8)
+        want = b_hat_spectral_oracle(0.1, 0.3)
+        assert abs(got - want) <= 1e-8 * want
+
+    @pytest.mark.parametrize("channel, mass", [
+        ("temporal", 0.0), ("temporal", 0.3), ("temporal", 1.0),
+        ("spatial", 0.0), ("spatial", 1.0)])
+    @pytest.mark.parametrize("pt", [0.3, 0.9, 1.7, 3.1])
+    def test_node_cost_is_capped(self, monkeypatch, channel, mass, pt):
+        # the log point pt/2 is integrated in closed form; bisecting
+        # towards it cost up to 2,205 evaluations a node
+        calls = []
+        inner = polarization.integrate_semi_infinite
+
+        def counted(*args, **kwargs):
+            res = inner(*args, **kwargs)
+            calls.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(polarization, "integrate_semi_infinite", counted)
+        polarization._f_hat(channel, pt, ThermalParams(beta=1.0, mass=mass), 1e-8)
+        assert len(calls) == 1 and calls[0] <= 1100
+
+
 class TestClosedAngleForm:
     @pytest.mark.parametrize("channel, beta, mass, pt", [
         ("temporal", 6.0 ** -0.5, 0.0, 0.7),
@@ -249,16 +344,8 @@ class TestVacuumPiece:
     def test_spatial_matches_spectral_oracle(self, pt):
         # threshold-form integral over invariant mass squared, independent
         # quadrature machinery
-        m = 1.0
-        m2, pt2 = m * m, pt * pt
-        pref = 16.0 * pt ** 4 / (3.0 * (2.0 * math.pi) ** 5)
-        raw = _scipy_quad(
-            lambda s: math.sqrt(s - 4 * m2) * (0.5 * m2 + 0.25 * s)
-            / (s ** 2.5 * (pt2 + s)),
-            4 * m2, math.inf, limit=400, epsabs=0.0, epsrel=1e-13,
-        )[0]
         got = b_hat("spatial", pt, UNIT, 1e-12)
-        assert got == pytest.approx(0.5 * pref * raw, rel=1e-10)
+        assert got == pytest.approx(b_hat_spectral_oracle(pt, 1.0), rel=1e-10)
 
     def test_spatial_positive_and_growing(self):
         vals = [b_hat("spatial", p, UNIT, 1e-12) for p in (0.5, 1.0, 2.0, 4.0)]
