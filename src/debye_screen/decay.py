@@ -404,7 +404,8 @@ def lemma2_divergence_control(radii=(10.0, 100.0, 1000.0),
 
     With only the two single-point cubic factors the 6D integral grows
     like log^2 of the truncation radius; a flat ladder here would mean
-    the convergence check above is vacuous.
+    the convergence check above is vacuous. All radii are estimated on
+    one draw.
     """
     rads = [float(r) for r in radii]
     if len(rads) < 2 or any(a >= b for a, b in zip(rads, rads[1:])):
@@ -413,17 +414,18 @@ def lemma2_divergence_control(radii=(10.0, 100.0, 1000.0),
     if rads[-1] > sampler.radius:
         raise ValueError("truncation radius beyond the sampler support")
 
-    estimates = []
-    for r_cut in rads:
-        def integrand(xs, ys, r_cut=r_cut):
-            rx = _norms(xs)
-            ry = _norms(ys)
-            inside = (rx < r_cut) & (ry < r_cut)
-            p = (1.0 + rx) * (1.0 + ry)
-            del rx, ry
-            return inside / (p * p * p)
+    cuts = np.array(rads)[:, None]
 
-        estimates.append(monte_carlo_6d(integrand, sampler, n_samples, seed).value)
+    def integrand(xs, ys):
+        rx = _norms(xs)
+        ry = _norms(ys)
+        outer = np.maximum(rx, ry)
+        p = (1.0 + rx) * (1.0 + ry)
+        del rx, ry
+        p = 1.0 / (p * p * p)
+        return (outer < cuts) * p   # one row per truncation radius
+
+    estimates = [res.value for res in monte_carlo_6d(integrand, sampler, n_samples, seed)]
     growing = all(a < b for a, b in zip(estimates, estimates[1:]))
     return DivergenceControl(radii=tuple(rads), estimates=tuple(estimates),
                              growing=growing)

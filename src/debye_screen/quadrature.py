@@ -19,7 +19,9 @@ Oscillatory integrands must accept numpy arrays elementwise, and a
 radial-angular kernel gets a float p with a 1-D array of angles t, its
 values broadcast to the shape of t; there is no scalar fallback, so a
 float-only integrand raises. The Monte Carlo integrand maps two (n, 3)
-blocks of points to n values. The semi-infinite routine feeds floats.
+blocks of points to n values, or to a (k, n) array of k integrands
+estimated on one draw, and a non-finite value raises IntegrandError.
+The semi-infinite routine feeds floats.
 """
 
 from __future__ import annotations
@@ -597,33 +599,54 @@ class CubicBallSampler:
     estimate from :meth:`truncation_bias_bound`.
 
     A radius inverts the radial CDF at a uniform target u. The inverse
-    is tabulated at 2^14 + 1 nodes uniform in v = u^(1/3), read in cell
-    int(v 2^14) by linear interpolation and polished by two Newton
-    steps. Near the origin r ~ (3 u norm)^(1/3) is nearly linear in v,
-    so the table needs no small-radius branch. Each sampler builds its
-    table once, by the slower log-grid inversion. Per vector, a draw
-    consumes ``rng.random(n)`` and then ``rng.standard_normal((n, 3))``,
-    first for x and then for y; that fixed order keeps Monte Carlo
-    estimates the same across versions up to rounding.
+    r(v), v = u^(1/3), is tabulated at 2^12 + 1 nodes uniform in v with
+    its first two derivatives, and read in cell int(v 2^12) as the
+    quintic Hermite interpolant of the cell's two end nodes; no Newton
+    step or CDF evaluation runs per draw. Near the origin
+    r ~ (3 u norm)^(1/3) is nearly linear in v, so the table needs no
+    small-radius branch. Each sampler builds its table once: node radii
+    by the log-grid inversion polished by Newton steps, derivatives in
+    closed form. Per vector, a draw consumes ``rng.random(n)`` and then
+    ``rng.standard_normal((n, 3))``, first for x and then for y; that
+    fixed order keeps Monte Carlo estimates the same across versions up
+    to rounding.
     """
 
-    _CELLS = 1 << 14
+    _CELLS = 1 << 12
 
     def __init__(self, radius: float = 1.0e4):
         if not (radius > 0.0):
             raise ValueError(f"radius must be > 0, got {radius}")
         self.radius = float(radius)
         self._norm = float(self._cdf_raw(self.radius))
-        t = np.linspace(0.0, 1.0, self._CELLS + 1) ** 3 * self._norm
+        v = np.linspace(0.0, 1.0, self._CELLS + 1)
+        t = v ** 3 * self._norm
         rs = np.concatenate([[0.0], np.logspace(-6, math.log10(self.radius), 4096)])
         r = np.interp(t, self._cdf_raw(rs), rs)
         small = t < 1e-9
         r[small] = np.cbrt(3.0 * t[small])
-        self._newton(r, t, 3)
-        self._tab_r = r
-        # the zero slope past the last node serves v = 1, to which cbrt
-        # rounds the largest targets below 1
-        self._tab_dr = np.append(np.diff(r), 0.0)
+        self._newton(r, t, 4)
+        r[-1] = self.radius
+        # t = norm v^3 and phi = dr/dt = (1+r)^3/r^2, so r_v = 3 norm v^2 phi
+        # and r_vv = phi' phi (3 norm v^2)^2 + 6 norm v phi; at v = 0,
+        # r = a v + (3/4) a^2 v^2 + ... with a = (3 norm)^(1/3). Both are
+        # scaled to the cell coordinate s = v 2^12 - j in [0, 1].
+        a = np.cbrt(3.0 * self._norm)
+        q, w, h = r[1:], v[1:], 1.0 / self._CELLS
+        phi = (1.0 + q) ** 3 / (q * q)
+        tv = 3.0 * self._norm * w * w
+        d = h * np.append(a, tv * phi)
+        e = h * h * np.append(1.5 * a * a, (1.0 + q) ** 2 * (q - 2.0) / (q * q * q) * phi * tv * tv
+                              + 6.0 * self._norm * w * phi)
+        jump, d0, d1, e0, e1 = np.diff(r), d[:-1], d[1:], e[:-1], e[1:]
+        coef = (r[:-1], d0, 0.5 * e0,   # quintic Hermite, lowest degree first
+                10.0 * jump - 6.0 * d0 - 4.0 * d1 - 1.5 * e0 + 0.5 * e1,
+                -15.0 * jump + 8.0 * d0 + 7.0 * d1 + 1.5 * e0 - e1,
+                6.0 * jump - 3.0 * (d0 + d1) - 0.5 * (e0 - e1))
+        # one extra cell, the constant radius, serves v = 1, to which
+        # cbrt rounds the largest targets below 1
+        self._coef = tuple(np.append(c, 0.0) for c in coef)
+        self._coef[0][-1] = self.radius
 
     @staticmethod
     def _cdf_raw(r):
@@ -664,17 +687,15 @@ class CubicBallSampler:
 
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """Radii at uniform targets u in [0, 1]; overwrites u."""
-        v = np.cbrt(u)
-        v *= self._CELLS
-        j = v.astype(np.intp)
-        v -= j
-        r = np.take(self._tab_r, j)
-        v *= np.take(self._tab_dr, j)
-        r += v
-        del v, j
-        u *= self._norm
-        self._newton(r, u, 2)
-        return r
+        s = np.cbrt(u, out=u)
+        s *= self._CELLS
+        j = s.astype(np.intp)
+        s -= j
+        r = np.take(self._coef[5], j)
+        for c in self._coef[4::-1]:   # Horner in s, one 1-D gather per degree
+            r *= s
+            r += np.take(c, j)
+        return np.clip(r, 0.0, self.radius, out=r)
 
     def _draw_vectors(self, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n vectors as an (n, 3) array, and their radii."""
@@ -719,12 +740,17 @@ class CubicBallSampler:
         return 2.0 * val
 
 
-def monte_carlo_6d(integrand, sampler, n_samples: int, seed: int) -> QuadratureResult:
+def monte_carlo_6d(integrand, sampler, n_samples: int,
+                   seed: int) -> QuadratureResult | list[QuadratureResult]:
     """Importance-sampled MC estimate of int int d3x d3y integrand(x, y).
 
     ``integrand(xs, ys)`` is called once per chunk with two (n, 3) blocks
-    of points and must return shape (n,); anything else raises
-    ValueError. Chunks run on one thread per CPU, up to the chunk count.
+    of points and returns shape (n,), for one QuadratureResult, or
+    (k, n), for k integrands on the same draw and a list of k results,
+    row by row; any other shape raises ValueError, a non-finite value
+    IntegrandError and a negative one ValueError. A row's result is the
+    one that integrand alone would give, to the bit. Chunks run on one
+    thread per CPU, up to the chunk count.
     The result is deterministic for a fixed seed regardless of that
     count: the sample range is partitioned into fixed-size chunks, each
     driven by its own spawned SeedSequence, and the per-chunk partials
@@ -746,13 +772,22 @@ def monte_carlo_6d(integrand, sampler, n_samples: int, seed: int) -> QuadratureR
         if np.any(q <= 0.0) or not np.all(np.isfinite(q)):
             raise SamplerMismatchError("sampler density not strictly positive on its own draw")
         f = np.asarray(integrand(x, y), dtype=float)
-        if f.shape != (n,):
+        if f.ndim not in (1, 2) or f.shape[-1] != n:
             raise ValueError(
-                f"integrand must map two ({n}, 3) blocks to shape ({n},), got {f.shape}")
+                f"integrand must map two ({n}, 3) blocks to shape (k, {n}) or "
+                f"shape ({n},), got {f.shape}")
+        finite = np.isfinite(f)
+        if not finite.all():
+            j = int(np.flatnonzero(~finite)[0] % n)
+            raise IntegrandError(f"Monte Carlo integrand not finite at sample {j}",
+                                 abscissa=(x[j].tolist(), y[j].tolist()))
         if np.any(f < 0.0):
             raise ValueError("integrand must be nonnegative")
-        w = f / q
-        return float(np.sum(w)), float(np.sum(w * w)), n
+        w = f / q   # a new array: the integrand's own is left as it was
+        del x, y, q, f
+        s1 = np.sum(w, axis=-1)
+        w *= w
+        return s1, np.sum(w, axis=-1)
 
     workers = min(os.cpu_count() or 1, n_chunks)
     if workers > 1:
@@ -760,14 +795,18 @@ def monte_carlo_6d(integrand, sampler, n_samples: int, seed: int) -> QuadratureR
             partials = list(ex.map(run_chunk, range(n_chunks)))
     else:
         partials = [run_chunk(i) for i in range(n_chunks)]
+    if len({a.shape for a, _ in partials}) > 1:
+        raise ValueError("integrand changed its number of rows between chunks")
 
     s1 = 0.0
     s2 = 0.0
-    for a, b, _ in partials:   # fixed combination order
-        s1 += a
-        s2 += b
-    mean = s1 / n_samples
-    var = max(s2 / n_samples - mean * mean, 0.0)
-    stderr = math.sqrt(var / n_samples)
-    return QuadratureResult(value=mean, error_estimate=stderr,
-                            evaluations=n_samples, converged=True)
+    for a, b in partials:   # fixed combination order
+        s1 = s1 + a
+        s2 = s2 + b
+    results = []
+    for t1, t2 in zip(np.atleast_1d(s1).tolist(), np.atleast_1d(s2).tolist()):
+        mean = t1 / n_samples
+        var = max(t2 / n_samples - mean * mean, 0.0)
+        results.append(QuadratureResult(value=mean, error_estimate=math.sqrt(var / n_samples),
+                                        evaluations=n_samples, converged=True))
+    return results if partials[0][0].ndim else results[0]

@@ -23,7 +23,7 @@ from debye_screen.decay import (
     verify_bound_ratio,
 )
 from debye_screen.errors import ConvergenceError, StripViolationError
-from debye_screen.quadrature import QuadratureResult, TestProfile
+from debye_screen.quadrature import CubicBallSampler, QuadratureResult, TestProfile
 from debye_screen.specfun import ThermalParams
 
 PROF = TestProfile(kind="gaussian", width=1.0, support_radius=3.0)
@@ -462,15 +462,18 @@ class TestLemma2:
 
     def test_memory(self):
         # tracemalloc sees numpy's buffers; 34.1 MiB was the peak of one
-        # single-worker chunk with the earlier log-grid sampler
-        tracemalloc.start()
-        try:
-            with mock.patch("os.cpu_count", return_value=1):
-                lemma2_check(1 << 18, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 34.1 * 2 ** 20
+        # single-worker chunk with the earlier log-grid sampler, and the
+        # ladder's three rows on one draw stay under it too
+        for run in (lambda: lemma2_check(1 << 18, 3),
+                    lambda: lemma2_divergence_control(n_samples=1 << 18)):
+            tracemalloc.start()
+            try:
+                with mock.patch("os.cpu_count", return_value=1):
+                    run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 34.1 * 2 ** 20
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
@@ -487,8 +490,19 @@ class TestLemma2:
             return (4.0 * math.pi
                     * (math.log(s) + 2.0 / s - 0.5 / s ** 2 - 1.5)) ** 2
 
+        # the weight is a constant times the indicator of both points
+        # inside r, so each rung is a scaled binomial mean
+        full = truncated(CubicBallSampler().radius)
         for est, r in zip(rep.estimates, rep.radii):
             assert est == pytest.approx(truncated(r), rel=0.05)
+            frac = truncated(r) / full
+            assert abs(est - truncated(r)) <= 4.0 * full * math.sqrt(frac * (1.0 - frac) / 400000)
+
+    def test_divergence_ladder_draws_once(self):
+        with mock.patch.object(decay, "monte_carlo_6d", wraps=decay.monte_carlo_6d) as mc:
+            rep = lemma2_divergence_control(n_samples=100000)
+        assert mc.call_count == 1
+        assert len(rep.estimates) == 3
 
     def test_divergence_control_validation(self):
         with pytest.raises(ValueError):

@@ -361,6 +361,57 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_6d(lambda x, y: -np.ones(len(x)), s, 1000, seed=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_integrand_rejected(self, bad):
+        # NaN slips past a sign test and inf makes an infinite estimate
+        def f(x, y):
+            out = np.ones(len(x))
+            out[17] = bad
+            return out
+
+        with pytest.raises(IntegrandError, match="sample 17"):
+            monte_carlo_6d(f, CubicBallSampler(), 1000, seed=0)
+
+    def test_stacked_rows_match_single_calls(self):
+        s = CubicBallSampler()
+        f1 = lambda x, y: np.exp(-np.sum(x * x, axis=1) - np.sum(y * y, axis=1))
+        f2 = lambda x, y: 1.0 / (1.0 + np.sum(x * x, axis=1) * np.sum(y * y, axis=1)) ** 2
+        both = monte_carlo_6d(lambda x, y: np.stack([f1(x, y), f2(x, y)]), s, 600_000, seed=5)
+        assert len(both) == 2
+        for f, res in zip((f1, f2), both):
+            one = monte_carlo_6d(f, s, 600_000, seed=5)
+            assert res.value == one.value
+            assert res.error_estimate == one.error_estimate
+            assert res.evaluations == one.evaluations and res.converged
+
+    @pytest.mark.parametrize("shape", [lambda n: (n, 2), lambda n: (2, 2, n)],
+                             ids=["n_by_k", "three_axes"])
+    def test_misshapen_rows_rejected(self, shape):
+        s = CubicBallSampler()
+        with pytest.raises(ValueError, match=r"shape \(k, 1000\) or shape \(1000,\)"):
+            monte_carlo_6d(lambda x, y: np.ones(shape(len(x))), s, 1000, seed=0)
+
+    def test_row_count_must_hold_across_chunks(self):
+        # a (2, n) chunk and an (n,) chunk would otherwise broadcast into both rows
+        def f(x, y):
+            ones = np.ones(len(x))
+            return np.stack([ones, ones]) if len(x) == 1 << 18 else ones
+
+        with pytest.raises(ValueError, match="number of rows"):
+            monte_carlo_6d(f, CubicBallSampler(), 300_000, seed=0)
+
+    def test_integrand_values_left_unchanged(self):
+        seen = []
+
+        def f(x, y):
+            out = np.stack([np.exp(-np.sum(x * x, axis=1)), np.exp(-np.sum(y * y, axis=1))])
+            seen.append((out, out.copy()))
+            return out
+
+        monte_carlo_6d(f, CubicBallSampler(), 1000, seed=0)
+        (out, before), = seen
+        assert np.array_equal(out, before)
+
 
 class TestCubicBallSampler:
     def test_radial_law(self):
@@ -393,7 +444,15 @@ class TestCubicBallSampler:
                          xtol=1e-30, rtol=4.0 * eps, maxiter=500)
             # _cdf_raw keeps relative accuracy down to r -> 0, so the
             # root is pinned relatively at the small-t end too
-            assert abs(ri - ref) <= 1e-12 * ref, u
+            assert abs(ri - ref) <= 1e-14 * ref, u
+
+    def test_draw_inverts_without_root_finding(self):
+        s = CubicBallSampler()
+        with mock.patch.object(CubicBallSampler, "_newton") as newton, \
+                mock.patch.object(CubicBallSampler, "_cdf_raw") as cdf:
+            x, y, q = s.draw(np.random.default_rng(0), 10_000)
+        assert not newton.called and not cdf.called
+        assert np.all(np.isfinite(q)) and np.all(q > 0.0)
 
     @pytest.mark.parametrize("r", [1e-5, 1e-4, 1e-3, 1e-2, 0.1])
     def test_cdf_keeps_relative_accuracy_near_the_origin(self, r):
