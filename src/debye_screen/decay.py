@@ -26,7 +26,7 @@ from .quadrature import (
     integrate_semi_infinite,
     monte_carlo_6d,
 )
-from .specfun import ThermalParams
+from .specfun import ThermalParams, dispersion
 
 __all__ = [
     "GraphSet",
@@ -99,11 +99,8 @@ def thermal_kernel_imag(u: float, z_mag: float, channel: str,
     m = params.mass
     w_of = _weight_factory(u, beta, weight)
 
-    def omega(p):
-        return np.sqrt(m * m + p * p)
-
     def core(p):
-        w = omega(p)
+        w = dispersion(p, m)
         return 0.5 * p / np.maximum(w, 1e-300) * w_of(w) * profile.f_hat(p)
 
     if z_mag == 0.0:
@@ -111,9 +108,9 @@ def thermal_kernel_imag(u: float, z_mag: float, channel: str,
             return 0.0  # odd integrand, j_1(0) = 0
 
         def g(p):
-            w = omega(p)
+            w = dispersion(p, m)
             fac = m if channel == "scalar_m" else w
-            return float(p * core(p) * fac)
+            return p * core(p) * fac
 
         u_eff = u
         if weight == "kms" and math.isfinite(beta):
@@ -138,7 +135,7 @@ def thermal_kernel_imag(u: float, z_mag: float, channel: str,
             return m * core(p)
     else:
         def g(p):
-            return omega(p) * core(p)
+            return dispersion(p, m) * core(p)
 
     return _converged_osc(g, z_mag, "sin", tol) / z_mag
 

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .debye import debye_mass_sq
 from .errors import ConvergenceError, InfraredDivergenceError, PoleDetectedError, ScanError
 # integrate_radial_angular stays importable here: the benchmark trace wraps it by this name
@@ -113,10 +115,13 @@ def _f_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float) 
         # log1p keeps L accurate for k far from pt/2 on either side; pt/2 is
         # a breakpoint, so only a node rounded onto it meets k = pt/2, where
         # a large finite L keeps the panel sum finite instead of raising
-        log = math.log1p(2.0 * min(pt, 2.0 * k) / (abs(2.0 * k - pt) or math.ulp(pt)))
-        if k < pt:
-            return w + (a - a_half) * log + a_half * log_mean
-        return w + a * log
+        k2 = 2.0 * k
+        gap = np.abs(k2 - pt)
+        gap[gap == 0.0] = math.ulp(pt)
+        log = np.log1p(2.0 * np.minimum(pt, k2) / gap)
+        # the subtraction applies on [0, pt) only; c = 0 leaves w + a L exactly
+        c = a_half * (k < pt)
+        return w + (a - c) * log + c * log_mean
 
     res = integrate_semi_infinite(integrand, scale, 1e-300, rel_tol=tol, points=points)
     if not res.converged:
@@ -164,12 +169,13 @@ def b_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float = 
     m2 = m * m
 
     def integrand(u):
-        if u > 100.0:  # integrand ~ e^{-2u}, dead long before s**2.5 overflows
-            return 0.0
-        v = 2.0 * m * math.sinh(u)
+        out = np.zeros_like(u)
+        live = u <= 100.0  # beyond, the integrand ~ e^{-2u} is dead and sinh would overflow
+        v = 2.0 * m * np.sinh(u[live])
         s = 4.0 * m2 + v * v
-        jac = 2.0 * m * math.cosh(u)
-        return jac * v * v * (1.5 * m2 + 0.25 * v * v) / (s ** 2.5 * (pt2 + s))
+        jac = 2.0 * m * np.cosh(u[live])
+        out[live] = jac * v * v * (1.5 * m2 + 0.25 * v * v) / (s ** 2.5 * (pt2 + s))
+        return out
 
     pref = 16.0 * params.charge_e ** 2 * pt2 * pt2 / (3.0 * (2.0 * math.pi) ** 5)
     quad = integrate_semi_infinite(integrand, 0.5, 1e-300, rel_tol=tol)

@@ -15,13 +15,14 @@ Four workhorses:
 * plain Monte Carlo in 6 dimensions with a deterministic, chunked
   importance sampler.
 
-Oscillatory integrands must accept numpy arrays elementwise, and a
-radial-angular kernel gets a float p with a 1-D array of angles t, its
-values broadcast to the shape of t; there is no scalar fallback, so a
-float-only integrand raises. The Monte Carlo integrand maps two (n, 3)
-blocks of points to n values, or to a (k, n) array of k integrands
-estimated on one draw, and a non-finite value raises IntegrandError.
-The semi-infinite routine feeds floats.
+Every integrand takes numpy arrays: a Gauss-Kronrod integrand gets a
+1-D array of abscissae, 21 per panel, an oscillatory one a 1-D array of
+momenta, and a radial-angular kernel a float p with a 1-D array of
+angles t, its values broadcast to the shape of t. The Monte Carlo
+integrand maps two (n, 3) blocks of points to n values, or to a (k, n)
+array of k integrands estimated on one draw. There is no scalar
+fallback, so a float-only integrand raises, and a non-finite value
+raises IntegrandError at the abscissa that produced it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -90,34 +90,6 @@ class TestProfile:
         return out if out.shape else float(out)
 
 
-class _Counted:
-    """Wrap an integrand: count calls, trap NaN/inf.
-
-    A scalar f is called once per abscissa; with ``batch`` f maps a numpy
-    array of abscissae to their values in one call.
-    """
-
-    __slots__ = ("f", "n", "batch")
-
-    def __init__(self, f, batch=False):
-        self.f = f
-        self.n = 0
-        self.batch = batch
-
-    def many(self, xs):
-        """f at each abscissa of xs; one finiteness test per batch."""
-        if self.batch:
-            vals = self.f(np.array(xs, dtype=float)).tolist()
-        else:
-            vals = list(map(self.f, xs))
-        self.n += len(vals)
-        if not math.isfinite(sum(vals)):
-            for x, v in zip(xs, vals):
-                if not math.isfinite(v):
-                    raise IntegrandError(f"integrand returned {v} at x={x}", abscissa=x)
-        return vals
-
-
 # QUADPACK qk21 rule (Piessens et al. 1983) on [-1, 1]: the positive
 # Kronrod abscissae with their weights, and the weight of the 10-point
 # Gauss rule at the same abscissa (0.0 where the node is Kronrod-only)
@@ -141,58 +113,68 @@ _GK21_HALF = (
 _GK21_CENTRE = 0.149445554002916905664936468389821
 # the same rule over all 21 abscissae in ascending order; the Gauss
 # nodes are the odd entries, and _WG holds their weights
-_XK = (*(-x for x, _, _ in _GK21_HALF), 0.0, *(x for x, _, _ in reversed(_GK21_HALF)))
-_WK = (*(w for _, w, _ in _GK21_HALF), _GK21_CENTRE, *(w for _, w, _ in reversed(_GK21_HALF)))
-_WG = (*(g for _, _, g in _GK21_HALF if g), *(g for _, _, g in reversed(_GK21_HALF) if g))
+_XK = np.array([*(-x for x, _, _ in _GK21_HALF), 0.0, *(x for x, _, _ in reversed(_GK21_HALF))])
+_WK = np.array([*(w for _, w, _ in _GK21_HALF), _GK21_CENTRE,
+                *(w for _, w, _ in reversed(_GK21_HALF))])
+_WG = np.array([*(g for _, _, g in _GK21_HALF if g), *(g for _, _, g in reversed(_GK21_HALF) if g)])
 _EPS = 2.220446049250313e-16
 _TINY = 2.2250738585072014e-308
 
 
 # the same abscissae mapped onto [0, inf) by x = (1+t)/(1-t), and the
 # Jacobian 2/(1-t)^2 of that map
-_XK_INF = tuple((1.0 + x) / (1.0 - x) for x in _XK)
-_JK_INF = tuple(2.0 / (1.0 - x) ** 2 for x in _XK)
+_XK_INF = (1.0 + _XK) / (1.0 - _XK)
+_JK_INF = 2.0 / (1.0 - _XK) ** 2
 
 
-def _gk21(cf, a, b, s=1.0):
-    """One 21-point Gauss-Kronrod panel of a _Counted: (value, error, a, b, resasc).
+def _gk21(f, panels, s=1.0):
+    """The 21-point Gauss-Kronrod rule on each (a, b) of ``panels``, with
+    one call of f for all of them: a list of (value, error, a, b, resasc).
 
-    A panel with b = inf is mapped onto t in [-1, 1) by
+    f gets the 1-D array of the panels' abscissae, 21 a panel in panel
+    order, and its values broadcast to that shape; a NaN or inf value
+    raises IntegrandError at the first abscissa that produced one. Only
+    the last panel may have b = inf. It is mapped onto t in [-1, 1) by
     x = a + s (1+t)/(1-t), so its abscissae are the constants
     a + s _XK_INF and its values carry the Jacobian s _JK_INF.
     The error estimate is QUADPACK's: the Kronrod-Gauss difference,
     rescaled against resasc (the panel's integral of |f - mean|) and
     floored at the rounding level of the integral of |f|.
     """
-    if b == math.inf:
-        h = s
-        fx = list(map(operator.mul, cf.many([a + s * x for x in _XK_INF]), _JK_INF))
-    else:
-        h = 0.5 * (b - a)
-        c = 0.5 * (a + b)
-        fx = cf.many([c + h * x for x in _XK])
-    resk = resabs = 0.0
-    for w, v in zip(_WK, fx):
-        resk += w * v
-        resabs += w * abs(v)
-    resg = sum(map(operator.mul, _WG, fx[1::2]))
-    mean = 0.5 * resk
-    resasc = 0.0
-    for w, v in zip(_WK, fx):
-        resasc += w * abs(v - mean)
-    ah = abs(h)
-    resabs *= ah
-    resasc *= ah
-    err = abs((resk - resg) * h)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _TINY / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
-    return resk * h, err, a, b, resasc
+    mapped = panels[-1][1] == math.inf
+    hs = [s if b == math.inf else 0.5 * (b - a) for a, b in panels]
+    x = np.multiply.outer(hs, _XK)
+    x += np.array([a if b == math.inf else 0.5 * (a + b) for a, b in panels])[:, None]
+    if mapped:
+        x[-1] = panels[-1][0] + s * _XK_INF
+    x = x.ravel()
+    fx = np.empty_like(x)
+    fx[:] = f(x)   # a copy, broadcast to the abscissae
+    if not np.isfinite(fx).all():
+        i = np.flatnonzero(~np.isfinite(fx))[0]
+        raise IntegrandError(f"integrand returned {fx[i]} at x={x[i]}", abscissa=float(x[i]))
+    fx = fx.reshape(len(panels), _XK.size)
+    if mapped:
+        fx[-1] *= _JK_INF
+    kronrod = fx @ _WK
+    sums = zip(kronrod.tolist(), (fx[:, 1::2] @ _WG).tolist(), (np.abs(fx) @ _WK).tolist(),
+               (np.abs(fx - 0.5 * kronrod[:, None]) @ _WK).tolist())
+    out = []
+    for (a, b), h, (resk, resg, resabs, resasc) in zip(panels, hs, sums):
+        ah = abs(h)
+        resabs *= ah
+        resasc *= ah
+        err = abs((resk - resg) * h)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        if resabs > _TINY / (50.0 * _EPS):
+            err = max(50.0 * _EPS * resabs, err)
+        out.append((resk * h, err, a, b, resasc))
+    return out
 
 
 def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=1.0):
-    """Adaptive Gauss-Kronrod integral of a scalar f over [a, b]; b may be inf.
+    """Adaptive Gauss-Kronrod integral of f over [a, b]; b may be inf.
 
     QUADPACK QAG style: the interval, split first at ``points``, is
     covered by 21-point panels, and the panel with the largest error is
@@ -202,19 +184,19 @@ def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=
     last panel [c, inf) is mapped with length scale ``scale`` (see
     _gk21); its bisection gives a plain panel [c, c + s] and the mapped
     panel [c + s, inf) of scale 2s, so the tail stays inside the error
-    estimate. Returns (value, error); the error is the summed panel
-    estimate also when the loop stops short, so callers can judge
-    convergence themselves. f is called one abscissa at a time through
-    a _Counted, so a NaN/inf is reported at the abscissa that produced it.
+    estimate. Returns (value, error, evaluations); the error is the
+    summed panel estimate also when the loop stops short, so callers can
+    judge convergence themselves, and evaluations counts the abscissae f
+    got, 21 a panel. f is called once for the first panels and once per
+    bisection, for both halves (see _gk21).
     """
-    cf = f if isinstance(f, _Counted) else _Counted(f)
     edges = [a, *sorted(p for p in (points or ()) if a < p < b), b]
-    panels = [_gk21(cf, lo, hi, scale) for lo, hi in zip(edges, edges[1:])]
+    panels = _gk21(f, list(zip(edges, edges[1:])), scale)
     area = sum(p[0] for p in panels)
     errsum = sum(p[1] for p in panels)
     if errsum == 0.0 or (errsum <= max(epsabs, epsrel * abs(area))
                          and all(p[1] != p[4] for p in panels)):
-        return area, errsum
+        return area, errsum, _XK.size * len(panels)
 
     # left edges are unique, so they break ties in the error key
     heap = [(-p[1], p[2], p) for p in panels]
@@ -229,7 +211,7 @@ def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=
             scale *= 2.0
         else:
             mid = 0.5 * (lo + hi)
-        left, right = _gk21(cf, lo, mid), _gk21(cf, mid, hi, scale)
+        left, right = _gk21(f, [(lo, mid), (mid, hi)], scale)
         area12 = left[0] + right[0]
         err12 = left[1] + right[1]
         area += area12 - val
@@ -248,7 +230,8 @@ def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=
             break
         if max(abs(lo), abs(hi)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
             break
-    return math.fsum(e[2][0] for e in heap), errsum
+    # each bisection evaluated two new panels
+    return math.fsum(e[2][0] for e in heap), errsum, _XK.size * (2 * n - len(panels))
 
 
 def integrate_semi_infinite(
@@ -261,6 +244,9 @@ def integrate_semi_infinite(
 ) -> QuadratureResult:
     """Integrate f over [0, inf) to absolute tolerance ``tol``.
 
+    f maps a 1-D numpy array of abscissae to their values, 21 for each
+    Gauss-Kronrod panel; it is called once for the first panels and once
+    per bisection, and ``evaluations`` counts the abscissae.
     One adaptive Gauss-Kronrod integral: finite panels between the
     ``points``, then one mapped panel reaching to infinity whose first
     length scale is ``decay_scale``. The tail is part of the adaptive
@@ -274,12 +260,11 @@ def integrate_semi_infinite(
         raise ValueError(f"decay_scale must be > 0, got {decay_scale}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
-    cf = f if isinstance(f, _Counted) else _Counted(f)
     epsrel = 1e-12 if rel_tol is None else max(1e-12, 0.25 * rel_tol)
-    val, err = _quad(cf, 0.0, math.inf, epsabs=0.25 * tol, epsrel=epsrel, limit=500,
-                     points=points, scale=decay_scale)
+    val, err, n = _quad(f, 0.0, math.inf, epsabs=0.25 * tol, epsrel=epsrel, limit=500,
+                        points=points, scale=decay_scale)
     converged = err <= tol or (rel_tol is not None and err <= rel_tol * abs(val))
-    return QuadratureResult(value=val, error_estimate=err, evaluations=cf.n, converged=converged)
+    return QuadratureResult(value=val, error_estimate=err, evaluations=n, converged=converged)
 
 
 def integrate_radial_angular(
@@ -296,11 +281,12 @@ def integrate_radial_angular(
     momentum p and a 1-D array of angular abscissae t, and its values are
     broadcast to the shape of t. Each shell's angular integral runs on
     the adaptive Gauss-Kronrod rule to an absolute target 1e-4 tol /
-    max(p^2, 1), one kernel call per 21-point panel. The azimuthal 2pi is
-    applied internally. ``inner_points``, if given, maps a float p to a
-    list of interior t-breakpoints (e.g. the removable coincidence point
-    of a difference-quotient kernel) that the angular panels should
-    honor. ``evaluations`` counts the kernel's abscissae.
+    max(p^2, 1), one kernel call per refinement step, and the radial
+    integral runs one such integral at each shell momentum it gets. The
+    azimuthal 2pi is applied internally. ``inner_points``, if given, maps
+    a float p to a list of interior t-breakpoints (e.g. the removable
+    coincidence point of a difference-quotient kernel) that the angular
+    panels should honor. ``evaluations`` counts the kernel's abscissae.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -308,18 +294,18 @@ def integrate_radial_angular(
 
     def shell(p):
         nonlocal inner_evals
-        cf = _Counted(lambda t: np.broadcast_to(kernel(p, t), t.shape), batch=True)
         try:
-            val, _ = _quad(cf, -1.0, 1.0, epsabs=1e-4 * tol / max(p * p, 1.0), epsrel=1e-10,
-                           limit=200, points=inner_points(p) if inner_points else None)
+            val, _, n = _quad(functools.partial(kernel, p), -1.0, 1.0,
+                              epsabs=1e-4 * tol / max(p * p, 1.0), epsrel=1e-10, limit=200,
+                              points=inner_points(p) if inner_points else None)
         except IntegrandError as exc:
             at = (p, exc.abscissa)
             raise IntegrandError(f"kernel not finite at (p, t) = {at}", abscissa=at) from exc
-        inner_evals += cf.n
+        inner_evals += n
         return p * p * val
 
-    outer = integrate_semi_infinite(shell, decay_scale, tol / (2.0 * math.pi) * 0.5,
-                                    rel_tol=rel_tol)
+    outer = integrate_semi_infinite(lambda ps: [shell(p) for p in ps.tolist()], decay_scale,
+                                    tol / (2.0 * math.pi) * 0.5, rel_tol=rel_tol)
     err = 2.0 * math.pi * outer.error_estimate + 0.01 * tol
     value = 2.0 * math.pi * outer.value
     converged = err <= tol or (rel_tol is not None and err <= rel_tol * abs(value))
@@ -733,10 +719,10 @@ class CubicBallSampler:
 
         def outer(s):
             half = 1.0 + 0.5 * s
-            inner = (half ** -3) * 4.0 * math.pi * (math.log(half) + 2.0) + c_star * half ** -1.5
+            inner = (half ** -3) * 4.0 * math.pi * (np.log(half) + 2.0) + c_star * half ** -1.5
             return 4.0 * math.pi * s * s * (1.0 + s) ** -3 * inner
 
-        val, _ = _quad(outer, self.radius, np.inf, epsabs=1e-12, epsrel=1e-8)
+        val, _, _ = _quad(outer, self.radius, np.inf, epsabs=1e-12, epsrel=1e-8)
         return 2.0 * val
 
 

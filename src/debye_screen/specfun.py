@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError
 
 __all__ = [
@@ -79,34 +81,41 @@ class SeriesResult:
     remainder_bound: float
 
 
-def dispersion(p_mag: float, mass: float) -> float:
+def dispersion(p_mag, mass: float):
     """Relativistic single-particle energy sqrt(p^2 + m^2).
 
-    Computed with ``math.hypot`` so it is exact for Pythagorean inputs
-    and monotone, 1-Lipschitz in ``p_mag``.
+    Elementwise over a numpy array of momenta; a scalar gives a float.
+    Computed with ``hypot`` so it is exact for Pythagorean inputs and
+    monotone, 1-Lipschitz in ``p_mag``.
     """
-    if p_mag < 0.0 or mass < 0.0:
+    p = np.asarray(p_mag, dtype=float)
+    if (p < 0.0).any() or mass < 0.0:
         raise ValueError(f"dispersion needs p_mag >= 0 and mass >= 0, got ({p_mag}, {mass})")
-    return math.hypot(p_mag, mass)
+    out = np.hypot(p, mass)
+    return out if out.ndim else float(out)
 
 
-def fermi_factor(beta: float, omega: float) -> float:
+def fermi_factor(beta: float, omega):
     """Thermal occupation 1/(1 + e^{beta*omega}).
 
-    Evaluated as e^{-x}/(1 + e^{-x}) so that beta*omega up to ~1e308
-    neither overflows nor loses the leading exponential. At the
-    ground-state sentinel beta = +inf this is 0 for omega > 0 and the
-    symmetric value 1/2 at omega = 0.
+    Elementwise over a numpy array of energies; a scalar gives a float.
+    Evaluated as e^{-x}/(1 + e^{-x}) so that any beta*omega neither
+    overflows nor loses the leading exponential: e^{-x} is 0 in double
+    precision from x = 746 on, so x is capped there. At the ground-state
+    sentinel beta = +inf this is 0 for omega > 0 and the symmetric value
+    1/2 at omega = 0.
     """
     if not (beta > 0.0):
         raise ValueError(f"beta must be > 0, got {beta}")
-    if omega < 0.0:
+    w = np.asarray(omega, dtype=float)
+    if (w < 0.0).any():
         raise ValueError(f"omega must be >= 0, got {omega}")
     if math.isinf(beta):
-        return 0.0 if omega > 0.0 else 0.5
-    x = beta * omega
-    e = math.exp(-x)
-    return e / (1.0 + e)
+        out = np.where(w > 0.0, 0.0, 0.5)
+    else:
+        e = np.exp(-beta * np.minimum(w, 746.0 / beta))
+        out = e / (1.0 + e)
+    return out if out.ndim else float(out)
 
 
 def fermi_factor_prime(beta: float, omega: float) -> float:

@@ -20,12 +20,12 @@ from debye_screen.quadrature import _quad
 
 class TestSemiInfinite:
     def test_exponential(self):
-        res = integrate_semi_infinite(lambda x: math.exp(-x), 1.0, 1e-10)
+        res = integrate_semi_infinite(lambda x: np.exp(-x), 1.0, 1e-10)
         assert res.converged
         assert res.value == pytest.approx(1.0, abs=1e-10)
 
     def test_gamma_three(self):
-        res = integrate_semi_infinite(lambda x: x * x * math.exp(-x), 1.0, 1e-10)
+        res = integrate_semi_infinite(lambda x: x * x * np.exp(-x), 1.0, 1e-10)
         assert res.value == pytest.approx(2.0, abs=1e-10)
 
     def test_power_tail(self):
@@ -50,17 +50,17 @@ class TestSemiInfinite:
         # equals K2(1); the second integrand has an integrable endpoint
         # singularity handled by the substitution x = 1 + u^2
         first = integrate_semi_infinite(
-            lambda u: math.sqrt(u * (u + 2.0)) * math.exp(-(1.0 + u)), 1.0, 1e-10
+            lambda u: np.sqrt(u * (u + 2.0)) * np.exp(-(1.0 + u)), 1.0, 1e-10
         )
         second = integrate_semi_infinite(
-            lambda u: 2.0 * math.exp(-(1.0 + u * u)) / math.sqrt(u * u + 2.0), 1.0, 1e-10
+            lambda u: 2.0 * np.exp(-(1.0 + u * u)) / np.sqrt(u * u + 2.0), 1.0, 1e-10
         )
         total = 2.0 * first.value + second.value
         assert total == pytest.approx(1.6248388986351774828, rel=1e-8)
 
     def test_nan_names_abscissa(self):
         def bad(x):
-            return math.nan if 2.0 < x < 3.0 else math.exp(-x)
+            return np.where((2.0 < x) & (x < 3.0), math.nan, np.exp(-x))
 
         with pytest.raises(IntegrandError) as exc:
             integrate_semi_infinite(bad, 1.0, 1e-8)
@@ -68,13 +68,43 @@ class TestSemiInfinite:
 
     def test_unreachable_tolerance_flagged_not_raised(self):
         # 1e-20 is below the rounding level of an integral of order one
-        res = integrate_semi_infinite(lambda x: math.exp(-x), 1.0, 1e-20)
+        res = integrate_semi_infinite(lambda x: np.exp(-x), 1.0, 1e-20)
         assert not res.converged
         assert res.error_estimate > 1e-20
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):
-            integrate_semi_infinite(lambda x: math.exp(-x), 1.0, 0.0)
+            integrate_semi_infinite(lambda x: np.exp(-x), 1.0, 0.0)
+
+    def test_evaluations_count_the_abscissae_received(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size)
+            return x * x * np.exp(-x)
+
+        res = integrate_semi_infinite(f, 1.0, 1e-10)
+        # one call for the first panel, then one per bisection for both halves
+        assert sizes[0] == 21 and len(sizes) > 1 and set(sizes[1:]) == {42}
+        assert res.evaluations == sum(sizes)
+        assert res.evaluations % 21 == 0
+
+    @pytest.mark.parametrize("call", [
+        lambda f: integrate_semi_infinite(f, 1.0, 1e-8),
+        lambda f: _quad(f, 0.0, 1.0),
+    ], ids=["semi_infinite", "finite"])
+    def test_scalar_integrand_raises(self, call):
+        # integrands get their abscissae as an array; there is no scalar
+        # fallback
+        calls = []
+
+        def scalar_only(x):
+            calls.append(x)
+            return math.exp(-x)
+
+        with pytest.raises(TypeError):
+            call(scalar_only)
+        assert len(calls) == 1
 
 
 class TestGaussKronrod:
@@ -84,10 +114,10 @@ class TestGaussKronrod:
         from scipy.integrate import quad
 
         def f(x):
-            return math.exp(-abs(x - 0.3)) * math.cos(3.0 * x) + (x > 1.1)
+            return np.exp(-abs(x - 0.3)) * np.cos(3.0 * x) + (x > 1.1)
 
         ref = quad(f, -1.0, 2.0, points=[0.3, 1.1], epsabs=0.0, epsrel=1e-13, limit=200)[0]
-        val, err = _quad(f, -1.0, 2.0, epsabs=0.0, epsrel=1e-12, limit=200, points=[1.1, 0.3])
+        val, err, _ = _quad(f, -1.0, 2.0, epsabs=0.0, epsrel=1e-12, limit=200, points=[1.1, 0.3])
         assert err <= 1e-12 * abs(val)
         assert val == pytest.approx(ref, rel=1e-12)
 
@@ -99,7 +129,7 @@ class TestGaussKronrod:
             return s * s * (1.0 + s) ** -3 * (1.0 + 0.5 * s) ** -1.5
 
         ref = quad(f, a, np.inf, epsabs=0.0, epsrel=1e-12)[0]
-        val, err = _quad(f, a, math.inf, epsabs=0.0, epsrel=1e-10)
+        val, err, _ = _quad(f, a, math.inf, epsabs=0.0, epsrel=1e-10)
         assert err <= 1e-10 * abs(val)
         assert val == pytest.approx(ref, rel=1e-10)
 
@@ -107,10 +137,10 @@ class TestGaussKronrod:
         # sqrt has an endpoint singularity in its derivative, so three
         # panels cannot reach 1e-14; the error must say so and still bound
         # the true error, and more panels must then get there
-        val, err = _quad(math.sqrt, 0.0, 1.0, epsabs=1e-14, epsrel=0.0, limit=3)
+        val, err, _ = _quad(np.sqrt, 0.0, 1.0, epsabs=1e-14, epsrel=0.0, limit=3)
         assert err > 1e-14
         assert abs(val - 2.0 / 3.0) <= err
-        val, err = _quad(math.sqrt, 0.0, 1.0, epsabs=1e-10, epsrel=0.0, limit=200)
+        val, err, _ = _quad(np.sqrt, 0.0, 1.0, epsabs=1e-10, epsrel=0.0, limit=200)
         assert err <= 1e-10
         assert abs(val - 2.0 / 3.0) <= 1e-10
 

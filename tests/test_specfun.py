@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -125,6 +126,44 @@ class TestFermiFactor:
         beta, omega, h = 1.3, 0.7, 1e-6
         fd = (fermi_factor(beta, omega + h) - fermi_factor(beta, omega - h)) / (2 * h)
         assert fermi_factor_prime(beta, omega) == pytest.approx(fd, rel=1e-8)
+
+
+class TestElementwise:
+    """dispersion and fermi_factor map arrays elementwise and scalars to floats."""
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 20.0, math.inf])
+    def test_arrays_match_scalars(self, beta):
+        omega = np.array([0.0, 1e-300, 1e-3, 0.5, 1.0, 7.0, 800.0])
+        got = fermi_factor(beta, omega)
+        assert got.shape == omega.shape
+        assert got.tolist() == [fermi_factor(beta, w) for w in omega.tolist()]
+        if math.isfinite(beta):
+            closed = [math.exp(-beta * w) / (1.0 + math.exp(-beta * w)) for w in omega.tolist()]
+            assert got.tolist() == pytest.approx(closed, rel=1e-15, abs=0.0)
+        energies = dispersion(omega, 0.7)
+        assert energies.shape == omega.shape
+        assert energies.tolist() == [dispersion(p, 0.7) for p in omega.tolist()]
+        assert energies.tolist() == pytest.approx([math.hypot(p, 0.7) for p in omega], rel=1e-15)
+
+    def test_ground_state_array(self):
+        got = fermi_factor(math.inf, np.array([0.0, 1e-300, 2.0]))
+        assert got.tolist() == [0.5, 0.0, 0.0]
+
+    def test_scalars_give_floats(self):
+        assert type(fermi_factor(1.0, 1.0)) is float
+        assert type(fermi_factor(math.inf, 0.0)) is float
+        assert type(dispersion(4.0, 3.0)) is float
+
+    def test_overflowing_product_gives_zero(self):
+        # beta * omega past the largest float is inf, and e^{-inf} = 0
+        assert fermi_factor(1e300, 1e10) == 0.0
+        assert fermi_factor(1e300, np.array([0.0, 1e10])).tolist() == [0.5, 0.0]
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError):
+            fermi_factor(1.0, np.array([1.0, -1e-12]))
+        with pytest.raises(ValueError):
+            dispersion(np.array([1.0, -1.0]), 1.0)
 
 
 class TestBesselK:
