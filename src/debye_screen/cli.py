@@ -162,13 +162,38 @@ class RunConfig:
 
 
 _SECTIONS = (
-    ("params", "params", ThermalParams),
-    ("tolerances", "tolerances", Tolerances),
-    ("grids", "grids", Grids),
-    ("output", "output", OutputSpec),
-    ("source", "source", SourceSpec),
-    ("kernel", "kernel", KernelRequest),
+    ("params", ThermalParams),
+    ("tolerances", Tolerances),
+    ("grids", Grids),
+    ("output", OutputSpec),
+    ("source", SourceSpec),
+    ("kernel", KernelRequest),
 )
+
+# The keys each subcommand reads, the only definition of its config: the
+# manifest and hash hold subcommand, seed, these keys and output.*, and
+# parse_config rejects any other key. seed stays because every subcommand
+# takes --seed; output.* are deployment paths that a manifest keeps to
+# parse back to the same config. Conditional keys stay listed (screening's
+# params.a1, decay's fit window and grids.r_min/r_max), so that the key
+# set never depends on values.
+_READS = {
+    "debye": ("params.beta", "params.mass", "params.charge_e",
+              "tolerances.quadrature", "grids.scan_count"),
+    "screening": ("params.beta", "params.mass", "params.charge_e", "params.lam",
+                  "params.a1", "tolerances.quadrature", "grids.r_min",
+                  "grids.r_max", "grids.r_count", "source.family", "source.width",
+                  "source.charge_q", "kernel.mode"),
+    "polarization": ("params.beta", "params.mass", "params.charge_e", "params.lam",
+                     "params.a1", "tolerances.quadrature", "grids.p_min",
+                     "grids.p_max", "grids.p_count", "kernel.channel"),
+    "decay": ("params.beta", "params.mass", "tolerances.quadrature",
+              "tolerances.fit_r_lo", "tolerances.fit_r_hi", "grids.r_min",
+              "grids.r_max", "grids.r_count", "kernel.channel", "kernel.u",
+              "kernel.weight", "kernel.profile_width", "kernel.mc_samples"),
+    "limits": ("params.beta", "params.mass", "params.charge_e", "params.lam",
+               "tolerances.quadrature"),
+}
 
 
 def _format_value(v) -> str:
@@ -180,7 +205,6 @@ def _format_value(v) -> str:
 
 
 def _parse_value(text: str, typ, line, key):
-    text = text.strip()
     if typ is float:
         try:
             return float(text)  # accepts "inf"
@@ -194,34 +218,33 @@ def _parse_value(text: str, typ, line, key):
     return text
 
 
-def _field_type(f):
-    return {"float": float, "int": int, "str": str}.get(
-        f.type if isinstance(f.type, str) else f.type.__name__, str)
+def _section_keys(subcommand: str) -> list:
+    """The section keys in a subcommand's manifest, in field order."""
+    reads = _READS[subcommand]
+    return [f"{section}.{f.name}" for section, cls in _SECTIONS for f in fields(cls)
+            if f.init and (section == "output" or f"{section}.{f.name}" in reads)]
+
+
+def _value(config: RunConfig, key: str):
+    section, _, name = key.rpartition(".")
+    return getattr(getattr(config, section) if section else config, name)
 
 
 def emit_manifest(config: RunConfig) -> str:
     """Canonical flat key=value serialization; stable field order."""
     lines = [f"subcommand={config.subcommand}", f"seed={config.seed}"]
-    for prefix, attr, cls in _SECTIONS:
-        obj = getattr(config, attr)
-        for f in fields(cls):
-            if not f.init:
-                continue
-            lines.append(f"{prefix}.{f.name}={_format_value(getattr(obj, f.name))}")
+    for key in _section_keys(config.subcommand):
+        lines.append(f"{key}={_format_value(_value(config, key))}")
     return "\n".join(lines) + "\n"
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse flat key=value config text; unknown or duplicate keys fail."""
-    known = {}
-    for prefix, attr, cls in _SECTIONS:
-        for f in fields(cls):
-            if f.init:
-                known[f"{prefix}.{f.name}"] = (attr, f.name, _field_type(f))
+    """Parse flat key=value config text into the subcommand's defaults.
 
-    top = {}
-    sections = {attr: {} for _, attr, _ in _SECTIONS}
-    seen = set()
+    Accepted keys are subcommand, seed and the subcommand's manifest keys;
+    any other key, and a duplicate, fails with its line.
+    """
+    entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -230,31 +253,31 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("expected key=value", lineno, None)
         key, _, value = line.partition("=")
         key = key.strip()
-        if key in seen:
+        if key in entries:
             raise ConfigError("duplicate key", lineno, key)
-        seen.add(key)
-        if key == "subcommand":
-            top["subcommand"] = value.strip()
-        elif key == "seed":
-            top["seed"] = _parse_value(value, int, lineno, key)
-        elif key in known:
-            attr, name, typ = known[key]
-            sections[attr][name] = _parse_value(value, typ, lineno, key)
-        else:
-            raise ConfigError("unknown key", lineno, key)
-    if "subcommand" not in top:
+        entries[key] = (lineno, value.strip())
+    if "subcommand" not in entries:
         raise ConfigError("missing required key 'subcommand'", None, "subcommand")
-    if top["subcommand"] not in SUBCOMMANDS:
+    lineno, subcommand = entries.pop("subcommand")
+    if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"subcommand must be one of {SUBCOMMANDS}",
-                          None, "subcommand")
+                          lineno, "subcommand")
 
-    # unspecified keys inherit the subcommand's defaults
-    base = default_config(top["subcommand"])
-    kwargs = dict(top)
+    # unspecified keys keep the subcommand's defaults, whose values give
+    # each key its type
+    base = default_config(subcommand)
+    allowed = {"seed", *_section_keys(subcommand)}
+    changes = {section: {} for section, _ in _SECTIONS}
+    top = {}
+    for key, (lineno, value) in entries.items():
+        if key not in allowed:
+            raise ConfigError(f"unknown key for subcommand {subcommand!r}", lineno, key)
+        section, _, name = key.rpartition(".")
+        parsed = _parse_value(value, type(_value(base, key)), lineno, key)
+        (changes[section] if section else top)[name] = parsed
     try:
-        for prefix, attr, cls in _SECTIONS:
-            kwargs[attr] = replace(getattr(base, attr), **sections[attr])
-        return RunConfig(**kwargs)
+        return replace(base, **top, **{section: replace(getattr(base, section), **kw)
+                                       for section, kw in changes.items()})
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -363,8 +386,7 @@ def run_debye(config: RunConfig) -> Artifacts:
         for m in masses:
             sp = dataclasses.replace(p, beta=float(beta), mass=m)
             res = debye_mass_sq(sp, tol)
-            art.csv_rows.append((float(beta), m, res.m_d_sq,
-                                 debye_length(sp, tol), res.method))
+            art.csv_rows.append((float(beta), m, res.m_d_sq, res.lambda_d, res.method))
     return art
 
 

@@ -115,7 +115,7 @@ def debye_mass_sq_integral(params: ThermalParams, tol: float = 1e-10) -> DebyeRe
         f = fermi_factor(beta, dispersion(p, m))
         return p * p * f * (1.0 - f)
 
-    quad = integrate_semi_infinite(integrand, 1.0 / beta, 1e-300, rel_tol=tol)
+    quad = integrate_semi_infinite(integrand, 1.0 / beta, tol)
     value = max(pref * quad.value, 0.0)
     if not quad.converged:
         raise ConvergenceError(

@@ -116,7 +116,7 @@ def thermal_kernel_imag(u: float, z_mag: float, channel: str,
         if weight == "kms" and math.isfinite(beta):
             u_eff = min(u, beta - u)
         scale = min(profile.width, 1.0 / u_eff)
-        res = integrate_semi_infinite(g, scale, 1e-300, rel_tol=tol)
+        res = integrate_semi_infinite(g, scale, tol)
         if not res.converged:
             raise ConvergenceError(
                 f"kernel at z = 0 did not converge: error {res.error_estimate:.3e} "

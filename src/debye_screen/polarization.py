@@ -123,7 +123,7 @@ def _f_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float) 
         c = a_half * (k < pt)
         return w + (a - c) * log + c * log_mean
 
-    res = integrate_semi_infinite(integrand, scale, 1e-300, rel_tol=tol, points=points)
+    res = integrate_semi_infinite(integrand, scale, tol, points=points)
     if not res.converged:
         raise ConvergenceError(
             f"{channel} kernel at |pt| = {pt} did not converge: error "
@@ -166,19 +166,19 @@ def b_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float = 
             "massless spatial vacuum kernel: the spectral integral diverges "
             "logarithmically at the lower endpoint; refusing to guess a cutoff"
         )
-    m2 = m * m
 
     def integrand(u):
         out = np.zeros_like(u)
         live = u <= 100.0  # beyond, the integrand ~ e^{-2u} is dead and sinh would overflow
-        v = 2.0 * m * np.sinh(u[live])
-        s = 4.0 * m2 + v * v
-        jac = 2.0 * m * np.cosh(u[live])
-        out[live] = jac * v * v * (1.5 * m2 + 0.25 * v * v) / (s ** 2.5 * (pt2 + s))
+        sh, ch = np.sinh(u[live]), np.cosh(u[live])
+        th = sh / ch
+        # sqrt(s) = 2m cosh u cancels the powers of m, and dividing by pt^2 + s
+        # on its own keeps 4 cosh^2 u (pt^2 + s) from overflowing at heavy masses
+        out[live] = th * th * (1.5 + sh * sh) / (4.0 * ch * ch) / (pt2 + 4.0 * m * m * ch * ch)
         return out
 
     pref = 16.0 * params.charge_e ** 2 * pt2 * pt2 / (3.0 * (2.0 * math.pi) ** 5)
-    quad = integrate_semi_infinite(integrand, 0.5, 1e-300, rel_tol=tol)
+    quad = integrate_semi_infinite(integrand, 0.5, tol)
     if not quad.converged:
         raise ConvergenceError(
             f"spatial vacuum kernel at |pt| = {p_tilde_mag} did not converge: error "

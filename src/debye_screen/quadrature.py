@@ -234,15 +234,9 @@ def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=
     return math.fsum(e[2][0] for e in heap), errsum, _XK.size * (2 * n - len(panels))
 
 
-def integrate_semi_infinite(
-    f,
-    decay_scale: float,
-    tol: float,
-    *,
-    rel_tol: float | None = None,
-    points=None,
-) -> QuadratureResult:
-    """Integrate f over [0, inf) to absolute tolerance ``tol``.
+def integrate_semi_infinite(f, decay_scale: float, tol: float, *,
+                            points=None) -> QuadratureResult:
+    """Integrate f over [0, inf) to relative tolerance ``tol``.
 
     f maps a 1-D numpy array of abscissae to their values, 21 for each
     Gauss-Kronrod panel; it is called once for the first panels and once
@@ -250,21 +244,19 @@ def integrate_semi_infinite(
     One adaptive Gauss-Kronrod integral: finite panels between the
     ``points``, then one mapped panel reaching to infinity whose first
     length scale is ``decay_scale``. The tail is part of the adaptive
-    error estimate, so no decay law is assumed. When ``rel_tol`` is
-    given, convergence is also granted at err <= rel_tol * |value|,
-    which is the right notion for integrals whose scale is not known a
-    priori. An unreached tolerance is reported by ``converged``, not
-    raised.
+    error estimate, so no decay law is assumed. Convergence means
+    err <= tol * |value|, the right notion for integrals whose scale is
+    not known a priori. An unreached tolerance is reported by
+    ``converged``, not raised.
     """
     if not (decay_scale > 0.0):
         raise ValueError(f"decay_scale must be > 0, got {decay_scale}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
-    epsrel = 1e-12 if rel_tol is None else max(1e-12, 0.25 * rel_tol)
-    val, err, n = _quad(f, 0.0, math.inf, epsabs=0.25 * tol, epsrel=epsrel, limit=500,
-                        points=points, scale=decay_scale)
-    converged = err <= tol or (rel_tol is not None and err <= rel_tol * abs(val))
-    return QuadratureResult(value=val, error_estimate=err, evaluations=n, converged=converged)
+    val, err, n = _quad(f, 0.0, math.inf, epsabs=0.0, epsrel=max(1e-12, 0.25 * tol),
+                        limit=500, points=points, scale=decay_scale)
+    return QuadratureResult(value=val, error_estimate=err, evaluations=n,
+                            converged=err <= tol * abs(val))
 
 
 def integrate_radial_angular(
@@ -273,21 +265,24 @@ def integrate_radial_angular(
     *,
     decay_scale: float = 1.0,
     inner_points=None,
-    rel_tol: float | None = None,
 ) -> QuadratureResult:
-    """2pi * int_0^inf dp p^2 int_{-1}^{1} dt kernel(p, t), to ~tol.
+    """2pi * int_0^inf dp p^2 int_{-1}^{1} dt kernel(p, t), to absolute tol.
 
     ``kernel`` must accept numpy arrays: it is called with a float shell
     momentum p and a 1-D array of angular abscissae t, and its values are
     broadcast to the shape of t. Each shell's angular integral runs on
     the adaptive Gauss-Kronrod rule to an absolute target 1e-4 tol /
     max(p^2, 1), one kernel call per refinement step, and the radial
-    integral runs one such integral at each shell momentum it gets. The
-    azimuthal 2pi is applied internally. ``inner_points``, if given, maps
-    a float p to a list of interior t-breakpoints (e.g. the removable
-    coincidence point of a difference-quotient kernel) that the angular
-    panels should honor. ``evaluations`` counts the kernel's abscissae.
+    integral runs one such integral at each shell momentum it gets; its
+    last panel is mapped onto [c, inf) with first length scale
+    ``decay_scale``. The azimuthal 2pi is applied internally.
+    ``inner_points``, if given, maps a float p to a list of interior
+    t-breakpoints (e.g. the removable coincidence point of a
+    difference-quotient kernel) that the angular panels should honor.
+    ``evaluations`` counts the kernel's abscissae.
     """
+    if not (decay_scale > 0.0):
+        raise ValueError(f"decay_scale must be > 0, got {decay_scale}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
     inner_evals = 0
@@ -304,13 +299,12 @@ def integrate_radial_angular(
         inner_evals += n
         return p * p * val
 
-    outer = integrate_semi_infinite(lambda ps: [shell(p) for p in ps.tolist()], decay_scale,
-                                    tol / (2.0 * math.pi) * 0.5, rel_tol=rel_tol)
-    err = 2.0 * math.pi * outer.error_estimate + 0.01 * tol
-    value = 2.0 * math.pi * outer.value
-    converged = err <= tol or (rel_tol is not None and err <= rel_tol * abs(value))
-    return QuadratureResult(value=value, error_estimate=err,
-                            evaluations=inner_evals, converged=converged)
+    val, err, _ = _quad(lambda ps: [shell(p) for p in ps.tolist()], 0.0, math.inf,
+                        epsabs=0.25 * (tol / (2.0 * math.pi) * 0.5), epsrel=1e-12,
+                        limit=500, scale=decay_scale)
+    err = 2.0 * math.pi * err + 0.01 * tol
+    return QuadratureResult(value=2.0 * math.pi * val, error_estimate=err,
+                            evaluations=inner_evals, converged=err <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +605,7 @@ class CubicBallSampler:
         r = np.interp(t, self._cdf_raw(rs), rs)
         small = t < 1e-9
         r[small] = np.cbrt(3.0 * t[small])
-        self._newton(r, t, 4)
+        r = self._newton(r, t, 4)
         r[-1] = self.radius
         # t = norm v^3 and phi = dr/dt = (1+r)^3/r^2, so r_v = 3 norm v^2 phi
         # and r_vv = phi' phi (3 norm v^2)^2 + 6 norm v phi; at v = 0,
@@ -655,21 +649,14 @@ class CubicBallSampler:
             out[small] = acc * s * s * s
         return out if out.ndim else float(out)
 
-    def _newton(self, r: np.ndarray, t: np.ndarray, steps: int) -> None:
-        """Newton steps on cdf(r) = t in place, keeping r in [0, radius]."""
+    def _newton(self, r: np.ndarray, t: np.ndarray, steps: int) -> np.ndarray:
+        """Newton steps on cdf(r) = t, keeping r in [0, radius]."""
         for _ in range(steps):
-            f = self._cdf_raw(r)
-            f -= t
+            # f / cdf'(r) = f (1+r)^3 / r^2
             u = r + 1.0
-            f *= u   # f / cdf'(r) = f (1+r)^3 / r^2
-            f *= u
-            f *= u
-            np.multiply(r, r, out=u)
-            np.maximum(u, 1e-300, out=u)
-            f /= u
-            del u   # before the next step's temporaries
-            r -= f
-            np.clip(r, 0.0, self.radius, out=r)
+            step = (self._cdf_raw(r) - t) * u * u * u / np.maximum(r * r, 1e-300)
+            r = np.clip(r - step, 0.0, self.radius)
+        return r
 
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """Radii at uniform targets u in [0, 1]; overwrites u."""

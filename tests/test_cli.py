@@ -54,12 +54,19 @@ class TestManifestRoundTrip:
         cfg = replace(
             default_config("screening"),
             seed=7,
-            kernel=KernelRequest(mode="full_kernel", weight="kms"),
+            kernel=KernelRequest(mode="full_kernel"),
             output=replace(default_config("screening").output, precision=9))
         back = parse_config(emit_manifest(cfg))
         assert back == cfg
-        assert back.kernel.weight == "kms"
+        assert back.kernel.mode == "full_kernel"
         assert back.output.precision == 9
+
+    def test_non_default_decay_weight_survives(self):
+        # no subcommand reads both kernel.mode and kernel.weight
+        cfg = replace(default_config("decay"), kernel=KernelRequest(weight="kms"))
+        back = parse_config(emit_manifest(cfg))
+        assert back == cfg
+        assert back.kernel.weight == "kms"
 
     def test_floats_keep_shortest_repr(self):
         # repr round-trips doubles exactly, so the hash is stable
@@ -70,18 +77,42 @@ class TestManifestRoundTrip:
         assert back.params.mass == 1 / 3
 
 
+def _readme_key_table():
+    """The README's key table as (key, cells), one cell per subcommand."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    header = next(line for line in lines if line.startswith("| key |"))
+    assert [c.strip() for c in header.split("|")[1:-1]] == ["key", *SUBCOMMANDS]
+    rows = [[c.strip() for c in line.split("|")[1:-1]] for line in lines
+            if line.startswith("| `")]
+    return [(row[0].strip("`"), row[1:]) for row in rows]
+
+
+# seed is in every manifest, as the README states, though only decay reads it
+UNREAD = [(name, key) for key, cells in _readme_key_table()
+          for name, cell in zip(SUBCOMMANDS, cells) if not cell and key != "seed"]
+
+
 class TestReadmeKeyTable:
     def test_table_lists_exactly_the_manifest_keys(self):
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        header = next(line for line in lines if line.startswith("| key |"))
-        assert [c.strip() for c in header.split("|")[1:-1]] == ["key", *SUBCOMMANDS]
-        keys = [line.split("|")[1].strip().strip("`") for line in lines
-                if line.startswith("| `")]
-        for name in SUBCOMMANDS:
+        # a subcommand's marked keys, conditional marks included, are its
+        # manifest keys in manifest order
+        table = _readme_key_table()
+        for j, name in enumerate(SUBCOMMANDS):
             manifest = emit_manifest(default_config(name)).splitlines()
-            assert keys == [line.partition("=")[0] for line in manifest]
+            marked = [key for key, cells in table if cells[j] or key == "seed"]
+            assert marked == [line.partition("=")[0] for line in manifest]
+
+    @pytest.mark.parametrize("name,key", UNREAD)
+    def test_unread_key_is_rejected(self, name, key):
+        # a value another subcommand accepts, so only the key can fail
+        lines = {line.partition("=")[0]: line for s in SUBCOMMANDS
+                 for line in emit_manifest(default_config(s)).splitlines()}
+        with pytest.raises(ConfigError, match="unknown key") as exc:
+            parse_config(f"subcommand={name}\n{lines[key]}\n")
+        assert exc.value.line == 2 and exc.value.key == key
+        assert repr(name) in str(exc.value)
 
 
 class TestParseErrors:
@@ -132,8 +163,13 @@ class TestParseErrors:
         ("grids.r_min=0.0", "r_min"),
     ])
     def test_validation_failures(self, line, frag):
-        with pytest.raises(ConfigError, match=frag):
-            parse_config(f"subcommand=debye\n{line}\n")
+        # each key is set in a subcommand that reads it, so the failure is
+        # the value's, not an unknown key's
+        name = {"grids.r_count": "screening", "grids.r_min": "screening",
+                "tolerances.fit_r_lo": "decay"}.get(line.partition("=")[0], "debye")
+        with pytest.raises(ConfigError, match=frag) as exc:
+            parse_config(f"subcommand={name}\n{line}\n")
+        assert "unknown key" not in str(exc.value)
 
     def test_bad_subcommand_in_constructor(self):
         with pytest.raises(ConfigError):
@@ -259,6 +295,15 @@ class TestMainInProcess:
         p.write_text(f"subcommand=debye\n{key}=2.0\n")
         assert cli.main(["debye", "--config", str(p), "--quiet"]) == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_key_the_subcommand_does_not_read_exits_2(self, tmp_path, capsys):
+        # kernel.mode is read by screening alone; in a limits config it
+        # would change the hash and no result
+        p = tmp_path / "c.cfg"
+        p.write_text("subcommand=limits\nkernel.mode=full_kernel\n")
+        assert cli.main(["limits", "--config", str(p), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "'kernel.mode'" in err and "'limits'" in err
 
     def test_ground_state_decay_derives_its_regime(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -74,14 +74,14 @@ class TestIntegralRoute:
         calls = []
         inner = debye.integrate_semi_infinite
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return inner(*args, **kwargs)
+        def counted(f, decay_scale, tol, **kwargs):
+            calls.append(tol)
+            return inner(f, decay_scale, tol, **kwargs)
 
         monkeypatch.setattr(debye, "integrate_semi_infinite", counted)
         tp = ThermalParams(beta=20.0, mass=beta_m / 20.0)
         got = debye_mass_sq_integral(tp, 1e-10).m_d_sq
-        assert len(calls) == 1 and calls[0]["rel_tol"] == 1e-10
+        assert calls == [1e-10]
         assert got == pytest.approx(debye_mass_sq_series(tp, 1e-13).m_d_sq, rel=1e-10)
 
     def test_unconverged_integral_raises(self, monkeypatch):

@@ -352,6 +352,14 @@ class TestVacuumPiece:
         assert all(v > 0.0 for v in vals)
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("mass", [1e20, 1e60, 1e100])
+    def test_spatial_heavy_mass_stays_finite(self, mass):
+        # for m >> pt, 1/(pt^2 + s) -> 1/s and the integral in t = tanh u is
+        # int_0^1 t^2 (1.5 - 0.5 t^2) dt = 0.4, so m^2 b_hat -> 0.4 pref / 16;
+        # the form with s^2.5 overflowed here
+        got = b_hat("spatial", 1.0, ThermalParams(beta=1.0, mass=mass), 1e-10)
+        assert mass * mass * got == pytest.approx(0.4 / (3.0 * (2.0 * math.pi) ** 5), rel=1e-12)
+
     def test_unconverged_integral_raises(self, monkeypatch):
         def unconverged(*args, **kwargs):
             return QuadratureResult(value=2.0, error_estimate=0.5, evaluations=21,
