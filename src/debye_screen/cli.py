@@ -21,7 +21,6 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .debye import (
-    debye_length,
     debye_mass_sq,
     debye_mass_sq_integral,
     debye_mass_sq_massless,
@@ -360,10 +359,11 @@ def run_debye(config: RunConfig) -> Artifacts:
         routes["integral"] = debye_mass_sq_integral(p, tol)
 
     best = next(iter(routes.values()))
-    lam_d = debye_length(p, tol)
+    # the canonical dispatch at (beta, m): lambda_d and that scan row
+    here = debye_mass_sq(p, tol)
     art.results = {
         "m_d_sq": best.m_d_sq,
-        "lambda_d": lam_d,
+        "lambda_d": here.lambda_d,
         "routes": {k: v.m_d_sq for k, v in routes.items()},
     }
     if len(routes) == 2:
@@ -385,7 +385,7 @@ def run_debye(config: RunConfig) -> Artifacts:
     for beta in betas:
         for m in masses:
             sp = dataclasses.replace(p, beta=float(beta), mass=m)
-            res = debye_mass_sq(sp, tol)
+            res = here if sp == p else debye_mass_sq(sp, tol)
             art.csv_rows.append((float(beta), m, res.m_d_sq, res.lambda_d, res.method))
     return art
 
@@ -645,7 +645,9 @@ def _write_json(path: str, config: RunConfig, art: Artifacts) -> None:
         "manifest": {
             "config": emit_manifest(config),
             "config_sha256": _config_sha256(config),
-            "tolerances": dataclasses.asdict(config.tolerances),
+            "tolerances": {key.partition(".")[2]: _value(config, key)
+                           for key in _READS[config.subcommand]
+                           if key.startswith("tolerances.")},
             "seed": config.seed,
         },
         "results": _jsonable(art.results, prec),

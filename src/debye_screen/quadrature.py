@@ -431,30 +431,36 @@ def _mp_lobe_sum(g, r: float, dps: int, degree: int, tol: float):
 
     Each lobe [k pi/r, (k+1) pi/r] gets one fixed Gauss-Legendre rule;
     on it sin(p r) = (-1)^k cos(pi x / 2) at the standard node x, so the
-    trig factor folds into the weights. The alternating lobe series is
-    summed by the Cohen-Villegas-Zagier transform, one lobe at a time,
-    until two successive estimates differ by at most tol/10 of the
-    estimate or by the rounding floor of the lobe mass at this precision.
-    The transform gains about 0.77 digits a lobe on smooth alternating
-    terms, so 4 * dps + 40 lobes end a sum that converges more slowly.
-    The error is the last difference of estimates.
+    trig factor folds into the weights, and the nodes are k pi/r plus
+    offsets fixed once. The alternating lobe series is summed by the
+    Cohen-Villegas-Zagier transform, whose update reweights every term
+    summed so far; it runs only at every 4th lobe, a quarter as often as
+    once a lobe. The sum stops when two estimates 4 lobes apart
+    differ by at most tol/10 of the estimate or by the rounding floor of
+    the lobe mass at this precision. The transform gains about 0.77
+    digits a lobe on smooth alternating terms, so 4 * dps + 40 lobes end
+    a sum that converges more slowly; that cap is a multiple of 4, so the
+    last update includes every lobe summed. The error is the last
+    difference of estimates.
     """
     from mpmath import mp
     with mp.workdps(dps):
         nodes = _mp_gauss_legendre(degree, mp.prec)
         lobe = mp.pi / r
-        shifts = [(1 + x) / 2 for x, _ in nodes]
+        offsets = [lobe * (1 + x) / 2 for x, _ in nodes]
         weights = [lobe / 2 * w * mp.cos(mp.pi * x / 2) for x, w in nodes]
         floor = mp.mpf(10) ** (3 - dps)
         cvz = mp.cohen_alt()
         terms, mass = [], mp.zero
         for k in range(4 * dps + 40):
-            t = mp.fsum(w * g((k + u) * lobe) for u, w in zip(shifts, weights))
+            start = k * lobe
+            t = mp.fdot(weights, [g(start + o) for o in offsets])
             terms.append(-t if k % 2 else t)
             mass += abs(t)
-            value, err = cvz.update(terms)
-            if k >= 2 and err <= max(0.1 * tol * abs(value), floor * mass):
-                break
+            if k % 4 == 3:
+                value, err = cvz.update(terms)
+                if k >= 7 and err <= max(0.1 * tol * abs(value), floor * mass):
+                    break
     return value, err, mass, len(terms) * len(nodes)
 
 
@@ -463,19 +469,22 @@ def _osc_integral_mp(g, r: float, tol: float):
 
     When the answer is exponentially smaller than the lobe mass (mu*r
     large in a screened profile), double precision cannot resolve it.
-    A first pass of _mp_lobe_sum at 30 digits measures the value v
+    A first pass of _mp_lobe_sum at 60 digits measures the value v
     against the lobe mass M; the digits needed are the cancellation
-    plus a margin, d = ceil(log10(M/|v|) - log10(tol)) + 10, and the pass
-    is repeated at d until the pass that measured v had d digits. One
-    confirming pass at d + 10 digits with the next Gauss-Legendre degree
-    (24 nodes a lobe in place of 12) follows. The value is accepted only
-    if the two passes agree to tol relative and both lobe sums have an
-    error estimate below tol relative; a d above 120 is not tried. Needs
-    g to map big floats to big floats; returns (value, error_estimate,
-    evaluations, accepted), the value from the confirming pass.
+    plus a margin, d = ceil(log10(M/|v|) - log10(tol)) + 10. An mpmath
+    float costs about the same at 30 and at 60 digits, and the lobe count
+    is set by tol, not by the digits, so for d <= 60 that first pass is
+    the only measuring one; a larger d repeats the pass at d until the
+    pass that measured v had d digits. One confirming pass at 10 digits
+    more with the next Gauss-Legendre degree (24 nodes a lobe in place
+    of 12) follows. The value is accepted only if the two passes agree
+    to tol relative and both lobe sums have an error estimate below tol
+    relative; a d above 120 is not tried. Needs g to map big floats to
+    big floats; returns (value, error_estimate, evaluations, accepted),
+    the value from the confirming pass.
     """
     from mpmath import mp
-    dps = 30
+    dps = 60
     value, err, mass, evals = _mp_lobe_sum(g, r, dps, 3, tol)
     while True:
         if not 0 < abs(value) < mp.inf:
@@ -513,9 +522,11 @@ def sine_transform_radial(f_hat, r_grid, tol: float) -> list[float]:
     decay up front. f_hat is called with numpy arrays of momenta. Where
     a value is far below the lobe mass that cancels to it, double
     precision is exhausted and the transform is rerun in mpmath floats
-    (_osc_integral_mp): with the digits that the measured cancellation
-    and tol need plus 10, confirmed once at 10 digits more with a finer
-    lobe rule. That needs f_hat to map an mpmath float to one.
+    (_osc_integral_mp): a pass at 60 digits, or at the digits that the
+    measured cancellation and tol need plus 10 where that is more,
+    confirmed once at 10 digits more with a finer lobe rule; each lobe
+    sum's error is the difference of estimates 4 lobes apart. That needs
+    f_hat to map an mpmath float to one.
     ConvergenceError is raised where a value misses tol and no rerun can
     mend it, or where the two big-float passes do not agree to tol.
     """

@@ -354,6 +354,10 @@ class TestEndToEnd:
         assert man["config_sha256"] == sha(man["config"])
         assert parse_config(man["config"]).subcommand == name
         assert man["seed"] == 42
+        # the tolerances the subcommand reads, the same keys as its config
+        assert set(man["tolerances"]) == {
+            line.partition("=")[0].removeprefix("tolerances.")
+            for line in man["config"].splitlines() if line.startswith("tolerances.")}
         assert doc["checks"], "every subcommand reports at least one check"
         for c in doc["checks"]:
             assert set(c) == {"name", "value", "reference", "tolerance", "pass"}

@@ -189,6 +189,19 @@ def counted(f_hat):
     return wrapped, sizes
 
 
+def lobe_passes(monkeypatch):
+    """The (digits, degree) of each _mp_lobe_sum pass, as they run."""
+    passes = []
+    lobe_sum = quadrature._mp_lobe_sum
+
+    def spy(g, r, dps, degree, tol):
+        passes.append((dps, degree))
+        return lobe_sum(g, r, dps, degree, tol)
+
+    monkeypatch.setattr(quadrature, "_mp_lobe_sum", spy)
+    return passes
+
+
 class TestSineTransform:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 5.0])
     def test_yukawa_pair(self, mu):
@@ -277,6 +290,24 @@ class TestSineTransform:
         vals = sine_transform_radial(f_hat, [r], 1e-7)
         assert vals[0] == pytest.approx(math.exp(-5.0 * r) / (4.0 * math.pi * r), rel=1e-6)
         assert sum(evals) < 10_000
+
+    def test_big_float_rerun_measures_once(self, monkeypatch):
+        # 22 digits of cancellation fit the first pass's 60 digits: one
+        # measuring pass, then one confirming pass at 10 digits more
+        passes = lobe_passes(monkeypatch)
+        sine_transform_radial(lambda p: 1.0 / (p * p + 25.0), [10.0], 1e-7)
+        assert passes == [(60, 3), (70, 4)]
+
+    def test_big_float_rerun_past_the_first_pass(self, monkeypatch):
+        # e^{-125} sits about 54 digits below the lobe mass; with tol and the
+        # margin that needs more than 60 digits, so the pass is rerun at
+        # the measured digits before it is confirmed
+        passes = lobe_passes(monkeypatch)
+        vals = sine_transform_radial(lambda p: 1.0 / (p * p + 25.0), [25.0], 1e-7)
+        assert vals[0] == pytest.approx(math.exp(-125.0) / (100.0 * math.pi), rel=1e-6)
+        assert passes[0] == (60, 3)
+        assert [deg for _, deg in passes[1:]] == [3] * (len(passes) - 2) + [4]
+        assert 60 < passes[1][0] and passes[-1][0] == passes[-2][0] + 10 <= 130
 
     def test_big_float_rerun_restores_precision(self):
         from mpmath import mp
