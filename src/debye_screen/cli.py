@@ -27,11 +27,11 @@ from .debye import (
     debye_mass_sq_series,
 )
 from .decay import (
+    LEMMA2_REFERENCE,
     BoundConfig,
     KernelConfig,
     fit_decay,
     lemma2_check,
-    thermal_kernel_imag,
     verify_bound_ratio,
 )
 from .errors import DebyeScreenError
@@ -42,7 +42,7 @@ from .maxwell import (
     yukawa_reference,
 )
 from .polarization import f_hat_temporal, scan_kernel
-from .quadrature import TestProfile
+from .quadrature import CubicBallSampler, TestProfile
 from .specfun import ThermalParams
 
 __all__ = [
@@ -545,16 +545,12 @@ def run_decay(config: RunConfig) -> Artifacts:
                                  min(-fit.slope / p.mass, 1.0), 1.0, 0.05))
     art.checks.append(_check("envelope_trend_flat", rep.bounded, True, 0.0))
 
-    n = k.mc_samples
-    a = lemma2_check(n, config.seed)
-    b = lemma2_check(2 * n, config.seed + 1)
-    sigma = math.hypot(a.error_estimate, b.error_estimate)
-    art.results["lemma2"] = {
-        "estimate": a.value, "stderr": a.error_estimate,
-        "estimate_2x": b.value, "stderr_2x": b.error_estimate,
-    }
-    art.checks.append(_check("lemma2_sample_agreement",
-                             abs(a.value - b.value), 0.0, 3.0 * sigma))
+    # allowed: the statistical error and the mass outside the sampler's ball
+    mc = lemma2_check(k.mc_samples, config.seed)
+    art.results["lemma2"] = {"estimate": mc.value, "stderr": mc.error_estimate}
+    allowed = 4.0 * mc.error_estimate + CubicBallSampler().truncation_bias_bound()
+    art.checks.append(_check("lemma2_vs_reference", mc.value, LEMMA2_REFERENCE,
+                             allowed / LEMMA2_REFERENCE))
     return art
 
 

@@ -15,6 +15,10 @@ Four workhorses:
 * plain Monte Carlo in 6 dimensions with a deterministic, chunked
   importance sampler.
 
+Each deterministic integrator raises ConvergenceError with its own value
+and error when it misses its tolerance; the oscillatory one also returns
+a value whose error is its rounding floor (see _osc_integral).
+
 Every integrand takes numpy arrays: a Gauss-Kronrod integrand gets a
 1-D array of abscissae, 21 per panel, an oscillatory one a 1-D array of
 momenta, and a radial-angular kernel a float p with a 1-D array of
@@ -51,12 +55,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, error estimate, work counter and convergence flag."""
+    """Value, error estimate and work counter."""
 
     value: float
     error_estimate: float
     evaluations: int
-    converged: bool
+
+
+def _missed(what: str, value: float, error: float) -> ConvergenceError:
+    """The error an integrator raises on a missed tolerance: its own value and error."""
+    return ConvergenceError(f"{what}: error {error:.3e} on value {value:.3e}",
+                            estimate=value, error_estimate=error)
 
 
 @dataclass(frozen=True)
@@ -246,8 +255,8 @@ def integrate_semi_infinite(f, decay_scale: float, tol: float, *,
     length scale is ``decay_scale``. The tail is part of the adaptive
     error estimate, so no decay law is assumed. Convergence means
     err <= tol * |value|, the right notion for integrals whose scale is
-    not known a priori. An unreached tolerance is reported by
-    ``converged``, not raised.
+    not known a priori; a miss raises ConvergenceError with the value and
+    error reached.
     """
     if not (decay_scale > 0.0):
         raise ValueError(f"decay_scale must be > 0, got {decay_scale}")
@@ -255,8 +264,9 @@ def integrate_semi_infinite(f, decay_scale: float, tol: float, *,
         raise ValueError(f"tol must be > 0, got {tol}")
     val, err, n = _quad(f, 0.0, math.inf, epsabs=0.0, epsrel=max(1e-12, 0.25 * tol),
                         limit=500, points=points, scale=decay_scale)
-    return QuadratureResult(value=val, error_estimate=err, evaluations=n,
-                            converged=err <= tol * abs(val))
+    if not err <= tol * abs(val):
+        raise _missed(f"semi-infinite integral missed relative tol {tol:.1e}", val, err)
+    return QuadratureResult(value=val, error_estimate=err, evaluations=n)
 
 
 def integrate_radial_angular(
@@ -279,7 +289,8 @@ def integrate_radial_angular(
     ``inner_points``, if given, maps a float p to a list of interior
     t-breakpoints (e.g. the removable coincidence point of a
     difference-quotient kernel) that the angular panels should honor.
-    ``evaluations`` counts the kernel's abscissae.
+    ``evaluations`` counts the kernel's abscissae. An error estimate above
+    tol raises ConvergenceError.
     """
     if not (decay_scale > 0.0):
         raise ValueError(f"decay_scale must be > 0, got {decay_scale}")
@@ -302,9 +313,10 @@ def integrate_radial_angular(
     val, err, _ = _quad(lambda ps: [shell(p) for p in ps.tolist()], 0.0, math.inf,
                         epsabs=0.25 * (tol / (2.0 * math.pi) * 0.5), epsrel=1e-12,
                         limit=500, scale=decay_scale)
-    err = 2.0 * math.pi * err + 0.01 * tol
-    return QuadratureResult(value=2.0 * math.pi * val, error_estimate=err,
-                            evaluations=inner_evals, converged=err <= tol)
+    val, err = 2.0 * math.pi * val, 2.0 * math.pi * err + 0.01 * tol
+    if not err <= tol:
+        raise _missed(f"radial-angular integral missed absolute tol {tol:.1e}", val, err)
+    return QuadratureResult(value=val, error_estimate=err, evaluations=inner_evals)
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +324,6 @@ def integrate_radial_angular(
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _past_rounding(err: float, abs_accum: float) -> bool:
-    """Whether an oscillatory error exceeds rounding: 2e-15 of the lobe mass."""
-    return err > 2e-15 * abs_accum
 
 
 def _euler_tail(terms: np.ndarray) -> tuple[float, float]:
@@ -331,7 +338,7 @@ def _euler_tail(terms: np.ndarray) -> tuple[float, float]:
     return diag[-1], abs(diag[-1])
 
 
-def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int, float]:
+def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int]:
     """int_0^inf g(p) * sin(p r) dp (kind="sin") or cos (kind="cos").
 
     Lobes between consecutive zeros of the trig factor, 16-point
@@ -343,9 +350,10 @@ def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int
     once. Each block of lobes costs one g call for the lobes, then one per
     bisection round for the halves of every panel still open; g always
     gets a 1-D array of momenta. Returns (value, error_estimate,
-    evaluations, abs_accumulation); the last entry is the unsigned mass
-    the lobe sums moved through, which sets the rounding floor of the
-    cancellation.
+    evaluations) once the error is within tol relative, or within the
+    rounding floor of the cancellation: 2e-15 of the unsigned mass the
+    lobe sums moved through, below which double precision cannot go.
+    Raises ConvergenceError when the last block of lobes misses both.
     """
     half = math.pi / r
     # cos lobes are centred on the multiples of pi/r, and the first is half a lobe
@@ -410,9 +418,9 @@ def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int
             tail, terr = _euler_tail(tail_terms)
             value = head + float(tail)
             err = float(terr) + floor
-        if err <= tol * max(abs(value), 1e-300) or not _past_rounding(err, abs_accum):
-            return value, err, evals, abs_accum
-    return value, err, evals, abs_accum
+        if err <= tol * max(abs(value), 1e-300) or err <= 2e-15 * abs_accum:
+            return value, err, evals
+    raise _missed(f"{kind} transform at r = {r} did not converge", value, err)
 
 
 _MP_MAX_DPS = 120
@@ -477,31 +485,33 @@ def _osc_integral_mp(g, r: float, tol: float):
     the only measuring one; a larger d repeats the pass at d until the
     pass that measured v had d digits. One confirming pass at 10 digits
     more with the next Gauss-Legendre degree (24 nodes a lobe in place
-    of 12) follows. The value is accepted only if the two passes agree
-    to tol relative and both lobe sums have an error estimate below tol
-    relative; a d above 120 is not tried. Needs g to map big floats to
-    big floats; returns (value, error_estimate, evaluations, accepted),
-    the value from the confirming pass.
+    of 12) follows. Needs g to map big floats to big floats; returns
+    (value, error_estimate, evaluations), the value from the confirming
+    pass. ConvergenceError is raised unless the two passes agree to tol
+    relative and both lobe sums have an error estimate below tol
+    relative; a d above 120 is not tried.
     """
     from mpmath import mp
+    miss = f"big-float rerun at r = {r} did not converge"
     dps = 60
     value, err, mass, evals = _mp_lobe_sum(g, r, dps, 3, tol)
     while True:
         if not 0 < abs(value) < mp.inf:
-            return 0.0, math.inf, evals, False
+            raise _missed(miss, float(value), math.inf)
         need = math.ceil(mp.log10(mass / abs(value)) - math.log10(tol)) + 10
         if need <= dps:
             break
         if need > _MP_MAX_DPS:
-            return float(value), abs(float(value)), evals, False
+            raise _missed(f"{miss}: it needs {need} digits, above {_MP_MAX_DPS}",
+                          float(value), abs(float(value)))
         dps = need
         value, err, mass, n = _mp_lobe_sum(g, r, dps, 3, tol)
         evals += n
     check, check_err, _, n = _mp_lobe_sum(g, r, dps + 10, 4, tol)
-    bound = tol * abs(check)
-    diff = abs(value - check)
-    accepted = bool(diff <= bound and err <= bound and check_err <= bound)
-    return float(check), float(max(diff, err, check_err)), evals + n, accepted
+    error = max(abs(value - check), err, check_err)
+    if not error <= tol * abs(check):
+        raise _missed(miss, float(check), float(error))
+    return float(check), float(error), evals + n
 
 
 def _maps_mpf(f_hat, p: float) -> bool:
@@ -547,27 +557,16 @@ def sine_transform_radial(f_hat, r_grid, tol: float) -> list[float]:
 
     values = []
     for r in rg:
-        v, e, _, acc = _osc_integral(lambda p: np.asarray(f_hat(p)) * p, r, "sin", tol)
+        v, e, _ = _osc_integral(lambda p: np.asarray(f_hat(p)) * p, r, "sin", tol)
         c = 1.0 / (2.0 * math.pi ** 2 * r)
         if e > tol * abs(v):
-            if _past_rounding(e, acc):
-                raise ConvergenceError(
-                    f"radial transform at r = {r} did not converge: error {c * e:.3e}"
-                    f" on value {c * v:.3e}", estimate=c * v, error_estimate=c * e)
             # the error is the rounding floor of a deep cancellation, not
             # a truncation artifact: double precision is exhausted, and
             # big floats gain digits only if f_hat computes in them
             if not _maps_mpf(f_hat, p1):
-                raise ConvergenceError(
-                    f"double precision is exhausted at r = {r}: value {c * v:.3e} has a"
-                    f" rounding error of {c * e:.3e}, and f_hat does not return mpmath"
-                    " floats for a big-float rerun", estimate=c * v, error_estimate=c * e)
-            v_mp, _, _, ok = _osc_integral_mp(lambda p: f_hat(p) * p, r, tol)
-            if not ok:
-                raise ConvergenceError(
-                    f"big-float rerun at r = {r} did not converge", estimate=c * v,
-                    error_estimate=c * e)
-            v = v_mp
+                raise _missed(f"double precision is exhausted at r = {r}, and f_hat does not"
+                              " return mpmath floats for a big-float rerun", c * v, c * e)
+            v = _osc_integral_mp(lambda p: f_hat(p) * p, r, tol)[0]
         values.append(c * v)
     return values
 
@@ -720,8 +719,8 @@ class CubicBallSampler:
             inner = (half ** -3) * 4.0 * math.pi * (np.log(half) + 2.0) + c_star * half ** -1.5
             return 4.0 * math.pi * s * s * (1.0 + s) ** -3 * inner
 
-        val, _, _ = _quad(outer, self.radius, np.inf, epsabs=1e-12, epsrel=1e-8)
-        return 2.0 * val
+        tail = integrate_semi_infinite(lambda t: outer(t + self.radius), self.radius, 1e-8)
+        return 2.0 * tail.value
 
 
 def monte_carlo_6d(integrand, sampler, n_samples: int,
@@ -792,5 +791,5 @@ def monte_carlo_6d(integrand, sampler, n_samples: int,
         mean = t1 / n_samples
         var = max(t2 / n_samples - mean * mean, 0.0)
         results.append(QuadratureResult(value=mean, error_estimate=math.sqrt(var / n_samples),
-                                        evaluations=n_samples, converged=True))
+                                        evaluations=n_samples))
     return results if partials[0][0].ndim else results[0]

@@ -287,6 +287,19 @@ class TestMainInProcess:
         art = cli.run_polarization(cfg)
         assert art.results["static_identity_gap"] <= 1e-6
 
+    def test_lemma2_check_fails_on_a_wrong_integrand(self, monkeypatch):
+        # the estimate meets the nested-quadrature value at 0.1 of its
+        # tolerance; with every length 10% long it falls to 0.99, 3.5
+        # tolerances off, where two runs of one estimator would still agree
+        from debye_screen import decay
+        cfg = default_config("decay")
+        check = cli.run_decay(cfg).checks[-1]
+        assert check["name"] == "lemma2_vs_reference" and check["pass"]
+        norms = decay._norms
+        monkeypatch.setattr(decay, "_norms", lambda a: 1.1 * norms(a))
+        check = cli.run_decay(cfg).checks[-1]
+        assert check["name"] == "lemma2_vs_reference" and not check["pass"]
+
     @pytest.mark.parametrize("key", ["units.hbar", "tolerances.series", "kernel.ladder",
                                      "kernel.regime", "source.channel"])
     def test_unread_keys_are_unknown(self, key, tmp_path, capsys):

@@ -14,7 +14,6 @@ from debye_screen.debye import (
     debye_mass_sq_si,
 )
 from debye_screen.errors import ConvergenceError
-from debye_screen.quadrature import QuadratureResult
 from debye_screen.specfun import ThermalParams, bessel_k
 
 BETA_GRID = (0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
@@ -84,16 +83,13 @@ class TestIntegralRoute:
         assert calls == [1e-10]
         assert got == pytest.approx(debye_mass_sq_series(tp, 1e-13).m_d_sq, rel=1e-10)
 
-    def test_unconverged_integral_raises(self, monkeypatch):
-        def unconverged(*args, **kwargs):
-            return QuadratureResult(value=2.0, error_estimate=0.5, evaluations=21,
-                                    converged=False)
-
-        monkeypatch.setattr(debye, "integrate_semi_infinite", unconverged)
+    def test_unconverged_integral_raises(self):
+        # 1e-20 is below the rounding level; the error carries the
+        # integral's own value, m_D^2 without its prefactor e^2 beta/pi^2
         with pytest.raises(ConvergenceError) as exc:
-            debye_mass_sq_integral(ThermalParams(beta=1.0, mass=0.0), 1e-9)
-        assert exc.value.estimate == pytest.approx(2.0 / math.pi ** 2)
-        assert exc.value.error_estimate == pytest.approx(0.5 / math.pi ** 2)
+            debye_mass_sq_integral(ThermalParams(beta=1.0, mass=0.0), 1e-20)
+        assert exc.value.estimate == pytest.approx(math.pi ** 2 / 6.0, rel=1e-12)
+        assert exc.value.error_estimate > 1e-20 * exc.value.estimate
 
 
 class TestCrossMethod:

@@ -25,7 +25,7 @@ from debye_screen.polarization import (
     f_hat_temporal,
     scan_kernel,
 )
-from debye_screen.quadrature import QuadratureResult, integrate_radial_angular
+from debye_screen.quadrature import integrate_radial_angular
 from debye_screen.specfun import ThermalParams
 
 UNIT = ThermalParams(beta=1.0, mass=1.0)
@@ -244,16 +244,14 @@ class TestClosedAngleForm:
         got = f_hat_temporal(fraction * math.sqrt(m_d_sq), cold)
         assert abs(got + m_d_sq) <= 1e-9 * m_d_sq
 
-    def test_unconverged_integral_raises(self, monkeypatch):
-        def unconverged(*args, **kwargs):
-            return QuadratureResult(value=2.0, error_estimate=0.5, evaluations=21,
-                                    converged=False)
-
-        monkeypatch.setattr(polarization, "integrate_semi_infinite", unconverged)
+    def test_unconverged_integral_raises(self):
+        # 1e-20 is below the rounding level; the error carries the
+        # integral's own value, f_hat without its prefactor -e^2/pi^2
         with pytest.raises(ConvergenceError) as exc:
-            f_hat_spatial(0.5, UNIT, 1e-8)
-        assert exc.value.estimate == pytest.approx(-2.0 / math.pi ** 2)
-        assert exc.value.error_estimate == pytest.approx(0.5 / math.pi ** 2)
+            f_hat_spatial(0.5, UNIT, 1e-20)
+        assert exc.value.estimate == pytest.approx(
+            -math.pi ** 2 * f_hat_spatial(0.5, UNIT, 1e-12), rel=1e-11)
+        assert exc.value.error_estimate > 1e-20 * abs(exc.value.estimate)
 
 
 class TestTemporalKernel:
@@ -360,17 +358,15 @@ class TestVacuumPiece:
         got = b_hat("spatial", 1.0, ThermalParams(beta=1.0, mass=mass), 1e-10)
         assert mass * mass * got == pytest.approx(0.4 / (3.0 * (2.0 * math.pi) ** 5), rel=1e-12)
 
-    def test_unconverged_integral_raises(self, monkeypatch):
-        def unconverged(*args, **kwargs):
-            return QuadratureResult(value=2.0, error_estimate=0.5, evaluations=21,
-                                    converged=False)
-
-        monkeypatch.setattr(polarization, "integrate_semi_infinite", unconverged)
+    def test_unconverged_integral_raises(self):
+        # 1e-20 is below the rounding level; the error carries the
+        # spectral integral's own value, without its prefactor
         pref = 16.0 / (3.0 * (2.0 * math.pi) ** 5)   # at pt = e = 1, a1 = 0
         with pytest.raises(ConvergenceError) as exc:
-            b_hat("spatial", 1.0, UNIT, 1e-10)
-        assert exc.value.estimate == pytest.approx(2.0 * pref)
-        assert exc.value.error_estimate == pytest.approx(0.5 * pref)
+            b_hat("spatial", 1.0, UNIT, 1e-20)
+        assert exc.value.estimate * pref == pytest.approx(
+            b_hat("spatial", 1.0, UNIT, 1e-12), rel=1e-11)
+        assert exc.value.error_estimate > 1e-20 * exc.value.estimate
 
     def test_massless_spatial_refused(self):
         with pytest.raises(InfraredDivergenceError):
@@ -467,6 +463,23 @@ class TestKernelScan:
         with pytest.raises(ScanError) as exc:
             scan_kernel("spatial", [0.0, 0.5], massless, 1e-8)
         assert exc.value.partial == (ScanPoint(0.0, 0.0, 0.0, 0.0),)
+
+    def test_abort_names_the_failed_node(self, monkeypatch):
+        # a kernel miss at one interior node: the message names that node,
+        # and the points before it ride along
+        f_hat = polarization._f_hat
+
+        def missed_at_half(channel, pt, params, tol):
+            if pt == 0.5:
+                raise ConvergenceError("semi-infinite integral missed", 1.0, 0.5)
+            return f_hat(channel, pt, params, tol)
+
+        monkeypatch.setattr(polarization, "_f_hat", missed_at_half)
+        with pytest.raises(ScanError, match=r"aborted at \|pt\| = 0.5: semi-infinite") as exc:
+            scan_kernel("temporal", [0.25, 0.5, 1.0], UNIT, 1e-8)
+        assert isinstance(exc.value.__cause__, ConvergenceError)
+        assert [pt.p_tilde_mag for pt in exc.value.partial] == [0.25]
+        assert exc.value.partial[0] == scan_kernel("temporal", [0.25], UNIT, 1e-8).points[0]
 
 
 @settings(max_examples=10, deadline=None)
