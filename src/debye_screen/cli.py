@@ -142,8 +142,9 @@ class RunConfig:
             raise ConfigError("fit window needs 0 < fit_r_lo < fit_r_hi",
                               key="tolerances.fit_r_lo")
         g = self.grids
-        if g.p_count < 2 or g.scan_count < 2:
-            raise ConfigError("grid counts must be >= 2", key="grids.p_count")
+        for key in ("p_count", "scan_count"):
+            if getattr(g, key) < 2:
+                raise ConfigError(f"{key} must be >= 2", key=f"grids.{key}")
         if g.r_count < 8:
             raise ConfigError("r_count must be >= 8 (decay fits need it)",
                               key="grids.r_count")
@@ -525,10 +526,7 @@ def run_decay(config: RunConfig) -> Artifacts:
 
     art.csv_header = ("separation", "kernel_abs", "bound", "ratio")
     art.csv_units = "length, kernel, kernel, -"
-    for sep, ratio in zip(rep.separations, rep.ratios):
-        bound = (math.exp(-p.mass * sep) if p.mass > 0.0
-                 else (1.0 + sep) ** -3)
-        art.csv_rows.append((sep, ratio * bound, bound, ratio))
+    art.csv_rows = list(zip(rep.separations, rep.kernels, rep.bounds, rep.ratios))
 
     art.results = {
         "sup_ratio": rep.sup_ratio,
@@ -537,9 +535,7 @@ def run_decay(config: RunConfig) -> Artifacts:
         "excluded": list(rep.excluded),
     }
     if p.mass > 0.0:
-        fit = fit_decay([(sep, ratio * math.exp(-p.mass * sep))
-                         for sep, ratio in zip(rep.separations, rep.ratios)],
-                        "log_linear")
+        fit = fit_decay(list(zip(rep.separations, rep.kernels)), "log_linear")
         art.results["fit_slope"] = fit.slope
         art.checks.append(_check("massive_rate_at_least_mass",
                                  min(-fit.slope / p.mass, 1.0), 1.0, 0.05))

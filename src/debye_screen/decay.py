@@ -299,7 +299,12 @@ class BoundConfig:
 
 @dataclass(frozen=True)
 class RatioReport:
+    """|kernel|, its envelope and their ratio at each separation where
+    neither is 0; ``excluded`` holds the other separations."""
+
     separations: tuple
+    kernels: tuple
+    bounds: tuple
     ratios: tuple
     sup_ratio: float
     trend_slope: float
@@ -336,18 +341,15 @@ def verify_bound_ratio(kernel_config: KernelConfig, bound_config: BoundConfig,
 
     rows = [one(z) for z in zs]
 
-    seps, ratios, excluded = [], [], []
-    for sep, k_abs, b in rows:
-        if b == 0.0 or k_abs == 0.0:
-            excluded.append(sep)
-            continue
-        seps.append(sep)
-        ratios.append(k_abs / b)
-    if len(ratios) < 2:
+    kept = [row for row in rows if row[1] != 0.0 and row[2] != 0.0]
+    excluded = [sep for sep, k_abs, b in rows if k_abs == 0.0 or b == 0.0]
+    if len(kept) < 2:
         raise ValueError("schedule left fewer than 2 usable ratio samples")
+    seps, kernels, bounds = zip(*kept)
+    ratios = [k_abs / b for _, k_abs, b in kept]
     slope = float(np.polyfit(np.array(seps), np.log(np.array(ratios)), 1)[0])
     return RatioReport(
-        separations=tuple(seps), ratios=tuple(ratios),
+        separations=seps, kernels=kernels, bounds=bounds, ratios=tuple(ratios),
         sup_ratio=max(ratios), trend_slope=slope,
         excluded=tuple(excluded), bounded=slope <= 0.01)
 

@@ -8,10 +8,11 @@ Four workhorses:
   per radial shell, with removable-singularity handling delegated to
   the caller's kernel (the polarization kernel no longer runs on it; the
   tests use it as that kernel's 2D reference),
-* oscillatory radial sine transforms, partitioned at the trig zeros and
-  accelerated by repeated averaging of the alternating partial sums
-  (Euler transformation), with a big-float rerun where the value is
-  too deeply cancelled for double precision,
+* oscillatory radial sine transforms, partitioned at the trig zeros
+  into lobes on the same Gauss-Kronrod rule and accelerated by repeated
+  averaging of the alternating partial sums (Euler transformation),
+  with a big-float rerun where the value is too deeply cancelled for
+  double precision,
 * plain Monte Carlo in 6 dimensions with a deterministic, chunked
   importance sampler.
 
@@ -19,10 +20,10 @@ Each deterministic integrator raises ConvergenceError with its own value
 and error when it misses its tolerance; the oscillatory one also returns
 a value whose error is its rounding floor (see _osc_integral).
 
-Every integrand takes numpy arrays: a Gauss-Kronrod integrand gets a
-1-D array of abscissae, 21 per panel, an oscillatory one a 1-D array of
-momenta, and a radial-angular kernel a float p with a 1-D array of
-angles t, its values broadcast to the shape of t. The Monte Carlo
+Every integrand takes numpy arrays: a Gauss-Kronrod integrand, the
+oscillatory ones included, gets a 1-D array of abscissae, 21 per panel,
+and a radial-angular kernel a float p with a 1-D array of angles t, its
+values broadcast to the shape of t. The Monte Carlo
 integrand maps two (n, 3) blocks of points to n values, or to a (k, n)
 array of k integrands estimated on one draw. There is no scalar
 fallback, so a float-only integrand raises, and a non-finite value
@@ -138,7 +139,8 @@ _JK_INF = 2.0 / (1.0 - _XK) ** 2
 
 def _gk21(f, panels, s=1.0):
     """The 21-point Gauss-Kronrod rule on each (a, b) of ``panels``, with
-    one call of f for all of them: a list of (value, error, a, b, resasc).
+    one call of f for all of them: a list of (value, error, a, b, resasc,
+    resabs).
 
     f gets the 1-D array of the panels' abscissae, 21 a panel in panel
     order, and its values broadcast to that shape; a NaN or inf value
@@ -148,7 +150,8 @@ def _gk21(f, panels, s=1.0):
     a + s _XK_INF and its values carry the Jacobian s _JK_INF.
     The error estimate is QUADPACK's: the Kronrod-Gauss difference,
     rescaled against resasc (the panel's integral of |f - mean|) and
-    floored at the rounding level of the integral of |f|.
+    floored at 50 eps resabs, the rounding level of the panel's
+    integral of |f|.
     """
     mapped = panels[-1][1] == math.inf
     hs = [s if b == math.inf else 0.5 * (b - a) for a, b in panels]
@@ -178,7 +181,7 @@ def _gk21(f, panels, s=1.0):
             err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
         if resabs > _TINY / (50.0 * _EPS):
             err = max(50.0 * _EPS * resabs, err)
-        out.append((resk * h, err, a, b, resasc))
+        out.append((resk * h, err, a, b, resasc, resabs))
     return out
 
 
@@ -213,7 +216,7 @@ def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=
     n = len(panels)
     iroff1 = iroff2 = 0
     while n < limit:
-        _, _, (val, err, lo, hi, _) = heapq.heappop(heap)
+        _, _, (val, err, lo, hi, *_) = heapq.heappop(heap)
         if hi == math.inf:
             # only the last panel is infinite, so one scale suffices
             mid = lo + scale
@@ -323,9 +326,6 @@ def integrate_radial_angular(
 # Oscillatory lobes + Euler acceleration
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 def _euler_tail(terms: np.ndarray) -> tuple[float, float]:
     """Sum an alternating tail by repeated averaging of partial sums."""
     row = np.cumsum(terms)
@@ -341,19 +341,22 @@ def _euler_tail(terms: np.ndarray) -> tuple[float, float]:
 def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int]:
     """int_0^inf g(p) * sin(p r) dp (kind="sin") or cos (kind="cos").
 
-    Lobes between consecutive zeros of the trig factor, 16-point
-    Gauss-Legendre each; the first block of lobes is summed directly and
-    the alternating remainder is Euler-accelerated. A lobe is bisected,
-    down to depth 10, until its halves agree with the coarser rule to
-    5e-15 of the halves' mass plus the mass summed before the lobe: an
-    absolute rounding floor, so lobes where g has underflowed stop at
-    once. Each block of lobes costs one g call for the lobes, then one per
-    bisection round for the halves of every panel still open; g always
-    gets a 1-D array of momenta. Returns (value, error_estimate,
-    evaluations) once the error is within tol relative, or within the
-    rounding floor of the cancellation: 2e-15 of the unsigned mass the
-    lobe sums moved through, below which double precision cannot go.
-    Raises ConvergenceError when the last block of lobes misses both.
+    Lobes between consecutive zeros of the trig factor, each on the
+    21-point Gauss-Kronrod rule of _gk21; the first block of lobes is
+    summed directly and the alternating remainder is Euler-accelerated.
+    A lobe is bisected, down to depth 10, until each of its panels has a
+    Kronrod error estimate within 1.2e-14 of the panel's mass (just above
+    the rule's own rounding floor, 50 eps of it) plus 5e-15 of the mass
+    summed before the lobe: an absolute floor, so lobes where g has
+    underflowed stop at once. Each block of lobes costs one _gk21 call
+    for the lobes, then one per bisection round for the halves of every
+    panel still open; g always gets a 1-D array of momenta, and a NaN or
+    inf raises IntegrandError at its abscissa. Returns (value,
+    error_estimate, evaluations) once the error is within tol relative,
+    or within the rounding floor of the cancellation: 2e-15 of the
+    unsigned mass the lobe sums moved through, below which double
+    precision cannot go. Raises ConvergenceError when the last block of
+    lobes misses both.
     """
     half = math.pi / r
     # cos lobes are centred on the multiples of pi/r, and the first is half a lobe
@@ -361,42 +364,33 @@ def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int
     trig = np.sin if kind == "sin" else np.cos
     evals = 0
 
-    def gl16(a, b):
-        nonlocal evals
-        hw = 0.5 * (b - a)[:, None]
-        x = (0.5 * (a + b)[:, None] + hw * _GL_NODES).ravel()
-        vals = np.asarray(g(x), dtype=float) * trig(x * r)
-        if not np.all(np.isfinite(vals)):
-            bad = x[~np.isfinite(vals)][0]
-            raise IntegrandError(f"oscillatory integrand not finite near p={bad}", abscissa=bad)
-        evals += x.size
-        w, vals = hw * _GL_WEIGHTS, vals.reshape(-1, _GL_NODES.size)
-        return np.sum(w * vals, axis=1), np.sum(w * np.abs(vals), axis=1)
+    def f(x):
+        return g(x) * trig(x * r)
 
     def block(lo, hi, accum):
         # the first lobes can be much wider than the integrand's own
-        # scale, so bisect every panel whose halves disagree, all open
-        # panels of the block together
+        # scale, so bisect every panel above its floor, all open panels
+        # of the block in one _gk21 call
+        nonlocal evals
         j = np.arange(lo, hi, dtype=float)
-        a, b = np.maximum(j - shift, 0.0) * half, (j + 1.0 - shift) * half
-        coarse, mass = gl16(a, b)
-        # the absolute floor: the mass summed before each lobe
-        before = accum + np.cumsum(mass) - mass
+        panels = list(zip((np.maximum(j - shift, 0.0) * half).tolist(),
+                          ((j + 1.0 - shift) * half).tolist()))
         owner = np.arange(hi - lo)
         value, swept = np.zeros(hi - lo), 0.0
         for depth in range(11):
-            mid = 0.5 * (a + b)
-            v, m = gl16(np.concatenate((a, mid)), np.concatenate((mid, b)))
-            n = a.size
-            fine, mass = v[:n] + v[n:], m[:n] + m[n:]
-            done = (np.abs(coarse - fine) <= 5e-15 * (mass + before[owner])) | (depth == 10)
-            value += np.bincount(owner[done], fine[done], hi - lo)
+            val, err, a, b, _, mass = map(np.array, zip(*_gk21(f, panels)))
+            evals += _XK.size * len(panels)
+            if depth == 0:
+                # the absolute floor: the mass summed before each lobe
+                before = accum + np.cumsum(mass) - mass
+            done = (err <= 1.2e-14 * mass + 5e-15 * before[owner]) | (depth == 10)
+            value += np.bincount(owner[done], val[done], hi - lo)
             swept += float(np.sum(mass[done]))
             if done.all():
                 break
             open_ = ~done
-            a, b = np.concatenate((a[open_], mid[open_])), np.concatenate((mid[open_], b[open_]))
-            coarse = np.concatenate((v[:n][open_], v[n:][open_]))
+            a, mid, b = a[open_].tolist(), (0.5 * (a + b))[open_].tolist(), b[open_].tolist()
+            panels = [*zip(a, mid), *zip(mid, b)]
             owner = np.concatenate((owner[open_], owner[open_]))
         return value, swept
 
@@ -772,12 +766,8 @@ def monte_carlo_6d(integrand, sampler, n_samples: int,
         w *= w
         return s1, np.sum(w, axis=-1)
 
-    workers = min(os.cpu_count() or 1, n_chunks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            partials = list(ex.map(run_chunk, range(n_chunks)))
-    else:
-        partials = [run_chunk(i) for i in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, n_chunks)) as ex:
+        partials = list(ex.map(run_chunk, range(n_chunks)))
     if len({a.shape for a, _ in partials}) > 1:
         raise ValueError("integrand changed its number of rows between chunks")
 

@@ -318,6 +318,16 @@ class TestMainInProcess:
         err = capsys.readouterr().err
         assert "line 2" in err and "'kernel.mode'" in err and "'limits'" in err
 
+    @pytest.mark.parametrize("name, key", [("debye", "grids.scan_count"),
+                                           ("polarization", "grids.p_count")])
+    def test_grid_count_error_names_its_own_key(self, name, key, tmp_path, capsys):
+        # each subcommand reads one of the two counts; the error must name
+        # the key the config set, not the other
+        p = tmp_path / "c.cfg"
+        p.write_text(f"subcommand={name}\n{key}=1\n")
+        assert cli.main([name, "--config", str(p), "--quiet"]) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+
     def test_ground_state_decay_derives_its_regime(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("subcommand=decay\nparams.beta=inf\nkernel.mc_samples=100000\n")

@@ -267,9 +267,22 @@ class TestSineTransform:
             assert v == pytest.approx(exact, rel=1e-12)
         assert sum(evals) <= 5000 * len(radii)
 
+    @pytest.mark.parametrize("kind", ["cos", "sin"])
+    @pytest.mark.parametrize("r", [0.3, 1.0, 3.0])
+    def test_lobe_sum_closed_forms(self, kind, r):
+        # int_0^inf e^{-p^2/2} cos(pr) dp = sqrt(pi/2) e^{-r^2/2}, and its
+        # r-derivative gives the sin transform of p e^{-p^2/2}
+        g = (lambda p: np.exp(-0.5 * p * p)) if kind == "cos" else (
+            lambda p: p * np.exp(-0.5 * p * p))
+        exact = math.sqrt(0.5 * math.pi) * math.exp(-0.5 * r * r) * (1.0 if kind == "cos" else r)
+        g, evals = counted(g)
+        value, _, n = quadrature._osc_integral(g, r, kind, 1e-12)
+        assert abs(value - exact) <= 2e-14
+        assert n == sum(evals) <= 1400
+
     def test_nonfinite_integrand_names_the_abscissa(self):
-        # NaN at the sixth Gauss-Legendre node of the fourth lobe at r = 1
-        node = 3.5 * math.pi + 0.5 * math.pi * np.polynomial.legendre.leggauss(16)[0][5]
+        # NaN at the sixth Gauss-Kronrod abscissa of the fourth lobe at r = 1
+        node = 3.5 * math.pi + 0.5 * math.pi * quadrature._XK[5]
 
         def f(p):
             return np.where(np.abs(p - node) < 1e-9, np.nan, np.exp(-p * p))
