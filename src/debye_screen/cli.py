@@ -159,6 +159,10 @@ class RunConfig:
             raise ConfigError("seed must be a nonnegative integer", key="seed")
         if self.source.charge_q == 0.0:
             raise ConfigError("charge_q must be nonzero", key="source.charge_q")
+        if self.subcommand == "decay" and self.params.mass == 0.0 \
+                and self.kernel.channel == "scalar_m":
+            raise ConfigError("scalar_m is m times the kernel, 0 at mass 0; "
+                              "use temporal_omega or spatial_p", key="kernel.channel")
 
 
 _SECTIONS = (
@@ -197,11 +201,7 @@ _READS = {
 
 
 def _format_value(v) -> str:
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return repr(v)
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _parse_value(text: str, typ, line, key):
@@ -302,13 +302,7 @@ def _config_sha256(config: RunConfig) -> str:
 
 
 def _fmt(x, precision: int) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.{precision}g}"
-    return str(x)
+    return f"{x:.{precision}g}" if isinstance(x, float) else str(x)
 
 
 def _jsonable(x, precision: int):

@@ -104,35 +104,25 @@ def thermal_kernel_imag(u: float, z_mag: float, channel: str,
         w = dispersion(p, m)
         return 0.5 * p / np.maximum(w, 1e-300) * w_of(w) * profile.f_hat(p)
 
-    if z_mag == 0.0:
-        if channel == "spatial_p":
-            return 0.0  # odd integrand, j_1(0) = 0
-
-        def g(p):
-            w = dispersion(p, m)
-            fac = m if channel == "scalar_m" else w
-            return p * core(p) * fac
-
-        u_eff = u
-        if weight == "kms" and math.isfinite(beta):
-            u_eff = min(u, beta - u)
-        scale = min(profile.width, 1.0 / u_eff)
-        return integrate_semi_infinite(g, scale, tol).value
-
     # at its rounding floor _osc_integral returns a value that misses tol (README, third caveat)
     if channel == "spatial_p":
+        if z_mag == 0.0:
+            return 0.0  # odd integrand, j_1(0) = 0
         # p j_1(pz) reduction: sin and cos lobes with different powers
         v1 = _osc_integral(core, z_mag, "sin", tol)[0]
         v2 = _osc_integral(lambda p: p * core(p), z_mag, "cos", tol)[0]
         return v1 / (z_mag * z_mag) - v2 / z_mag
 
-    if channel == "scalar_m":
-        def g(p):
-            return m * core(p)
-    else:
-        def g(p):
-            return dispersion(p, m) * core(p)
+    def g(p, lead=1.0):
+        # g(p, p) = p g(p), the z = 0 integrand, rounded as (p core) c
+        return lead * core(p) * (m if channel == "scalar_m" else dispersion(p, m))
 
+    if z_mag == 0.0:
+        u_eff = u
+        if weight == "kms" and math.isfinite(beta):
+            u_eff = min(u, beta - u)
+        scale = min(profile.width, 1.0 / u_eff)
+        return integrate_semi_infinite(lambda p: g(p, p), scale, tol).value
     return _osc_integral(g, z_mag, "sin", tol)[0] / z_mag
 
 
@@ -181,7 +171,6 @@ def fit_decay(samples, model: str) -> DecayFit:
 class GraphSet:
     vertex_count: int
     graphs: tuple
-    connected: bool = True
 
     def __post_init__(self):
         k = self.vertex_count

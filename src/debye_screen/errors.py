@@ -5,6 +5,9 @@ Every computational failure raised by this package derives from
 "the physics/numerics refused" from genuine bugs.
 """
 
+__all__ = ["DebyeScreenError", "ConvergenceError", "IntegrandError", "SamplerMismatchError",
+           "PoleDetectedError", "InfraredDivergenceError", "StripViolationError", "ScanError"]
+
 
 class DebyeScreenError(Exception):
     """Base class for all package-level computational errors."""

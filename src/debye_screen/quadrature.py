@@ -327,15 +327,12 @@ def integrate_radial_angular(
 # ---------------------------------------------------------------------------
 
 def _euler_tail(terms: np.ndarray) -> tuple[float, float]:
-    """Sum an alternating tail by repeated averaging of partial sums."""
+    """Sum an alternating tail of 2 or more terms by repeated averaging of partial sums."""
     row = np.cumsum(terms)
-    diag = [row[-1]]
     while row.size > 1:
+        last = row[-1]
         row = 0.5 * (row[:-1] + row[1:])
-        diag.append(row[-1])
-    if len(diag) >= 2:
-        return diag[-1], abs(diag[-1] - diag[-2])
-    return diag[-1], abs(diag[-1])
+    return row[-1], abs(row[-1] - last)
 
 
 def _osc_integral(g, r: float, kind: str, tol: float) -> tuple[float, float, int]:
@@ -578,8 +575,8 @@ class CubicBallSampler:
     """Importance sampler: two iid 3-vectors with density ~ (1+r)^-3.
 
     The radial density r^2 (1+r)^-3 is normalizable only on a truncated
-    ball; ``radius`` defaults to 1e4 and the induced truncation bias for
-    the triple-cubic integrand is available as a closed-form upper
+    ball, whose ``radius`` is fixed at 1e4; the induced truncation bias
+    for the triple-cubic integrand is available as a closed-form upper
     estimate from :meth:`truncation_bias_bound`.
 
     A radius inverts the radial CDF at a uniform target u. The inverse
@@ -597,11 +594,9 @@ class CubicBallSampler:
     """
 
     _CELLS = 1 << 12
+    radius = 1.0e4
 
-    def __init__(self, radius: float = 1.0e4):
-        if not (radius > 0.0):
-            raise ValueError(f"radius must be > 0, got {radius}")
-        self.radius = float(radius)
+    def __init__(self):
         self._norm = float(self._cdf_raw(self.radius))
         v = np.linspace(0.0, 1.0, self._CELLS + 1)
         t = v ** 3 * self._norm

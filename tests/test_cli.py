@@ -9,6 +9,8 @@ import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debye_screen import cli
 from debye_screen.cli import (
@@ -287,6 +289,15 @@ class TestMainInProcess:
         art = cli.run_polarization(cfg)
         assert art.results["static_identity_gap"] <= 1e-6
 
+    @settings(max_examples=40, deadline=None)
+    @given(beta=st.floats(0.1, 20.0),
+           mass=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)))
+    def test_static_limit_identity_holds_across_beta_and_mass(self, beta, mass):
+        cfg = replace(default_config("polarization"),
+                      params=ThermalParams(beta=beta, mass=mass))
+        checks = {c["name"]: c for c in cli.run_polarization(cfg).checks}
+        assert checks["static_limit_identity"]["pass"], checks
+
     def test_lemma2_check_fails_on_a_wrong_integrand(self, monkeypatch):
         # the estimate meets the nested-quadrature value at 0.1 of its
         # tolerance; with every length 10% long it falls to 0.99, 3.5
@@ -344,6 +355,21 @@ class TestMainInProcess:
         p.write_text("subcommand=screening\nsource.charge_q=0.0\n")
         assert cli.main(["screening", "--config", str(p), "--quiet"]) == 2
         assert "source.charge_q" in capsys.readouterr().err
+
+    def test_massless_scalar_decay_is_config_error(self, tmp_path, capsys):
+        # the scalar_m integrand is m times the kernel, 0 everywhere at m = 0,
+        # which left no usable ratio sample; the other channels run
+        text = "subcommand=decay\nparams.mass=0.0\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert info.value.key == "kernel.channel"
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        assert cli.main(["decay", "--config", str(p), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "temporal_omega" in err and "spatial_p" in err
+        p.write_text(text + "kernel.channel=spatial_p\n")
+        assert cli.main(["decay", "--config", str(p), "--quiet"]) == 0
 
     def test_gaussian_source_family_is_config_error(self, tmp_path, capsys):
         # a gaussian source was the smoothed point under a second name

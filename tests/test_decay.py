@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import k0, k1
 
 from debye_screen import decay
 from debye_screen.decay import (
@@ -82,6 +83,30 @@ class TestKernel:
         got = thermal_kernel_imag(0.7, 3.0, channel, PROF, TP, 1e-11)
         want = midpoint_kernel_oracle(0.7, 3.0, channel, 2.0, 1.0)
         assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("channel", ["scalar_m", "temporal_omega", "spatial_p"])
+    @pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+    def test_closed_forms_at_zero_temperature(self, channel, m):
+        # differentiating int_0^inf e^{-u w} cos(p z) / w dp = K_0(m R),
+        # R = sqrt(u^2 + z^2) (Gradshteyn & Ryzhik 3.961.2), gives each
+        # channel in closed form; a width-1e5 profile has f_hat ~ 1. The
+        # gap is at most 2.6e-9 at z = 0 (the profile's bias) and 5.4e-10
+        # beyond; mR ~ 20 is left out, where the lobe sum sits at its
+        # rounding floor (README, third caveat)
+        prof = TestProfile(width=1e5)
+        params = ThermalParams(beta=math.inf, mass=m)
+        for u in (0.5, 1.0):
+            for z in (0.0, 1.0, 2.0, 5.0, 10.0):
+                r = math.hypot(u, z)
+                if m * r > 10.0:
+                    continue
+                if channel == "scalar_m":
+                    want = m * m * k1(m * r) / (2.0 * r)
+                else:
+                    t = u if channel == "temporal_omega" else z
+                    want = m * t * (m * r * k0(m * r) + 2.0 * k1(m * r)) / (2.0 * r ** 3)
+                got = thermal_kernel_imag(u, z, channel, prof, params, 1e-12)
+                assert got == pytest.approx(want, rel=1e-8, abs=0.0), (u, z)
 
     def test_spatial_vanishes_at_origin(self):
         assert thermal_kernel_imag(0.7, 0.0, "spatial_p", PROF, TP) == 0.0
