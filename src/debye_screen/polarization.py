@@ -71,8 +71,12 @@ def _f_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float) 
     where E = sqrt(k^2 + m^2), L = ln|(2k + pt)/(2k - pt)|, and
     a = w (4E^2 - pt^2)/(4 k pt) in the temporal channel, a = -w pt/(4k)
     in the spatial one. The log singularity at pt/2 is integrated in
-    closed form: on [0, pt] the integrand is w + (a - a(pt/2)) L plus the
-    constant a(pt/2) (3 ln 3)/2, whose integral is a(pt/2) int_0^pt L dk.
+    closed form: with a(k) ~ a0 + a1 (k - pt/2) there, a0 = a(pt/2), the
+    integrand on [0, pt] is w + (a - a0 - a1 (k - pt/2)) L plus the
+    constant a0 (3 ln 3)/2 + a1 pt (2 - (3 ln 3)/2)/4, whose integral is
+    int_0^pt (a0 + a1 (k - pt/2)) L dk. The split is exact for any a1; a
+    central difference leaves only a (k - pt/2)^2 L kink, which the
+    21-point error estimate does not underrate as it can (k - pt/2) L.
     The integral is split at pt/2, at pt, and at pt 8^j while below the
     thermal scale (1+m)/beta, so that panels far wider than pt still
     resolve the structure at scale pt. tol is relative: one integral to
@@ -107,8 +111,12 @@ def _f_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float) 
             return w, w * (4.0 * e * e - pt * pt) / (4.0 * k * pt)
         return w, -w * pt / (4.0 * k)
 
-    a_half = parts(0.5 * pt)[1]   # 0 in the massless temporal channel
+    dk = 1e-4 * pt
+    a0 = parts(0.5 * pt)[1]   # 0 in the massless temporal channel
+    a1 = (parts(0.5 * pt + dk)[1] - parts(0.5 * pt - dk)[1]) / (2.0 * dk)
     log_mean = 1.5 * math.log(3.0)   # (1/pt) int_0^pt L dk
+    # (1/pt) int_0^pt (a0 + a1 (k - pt/2)) L dk
+    sub_mean = a0 * log_mean + a1 * pt * (2.0 - log_mean) / 4.0
 
     def integrand(k):
         w, a = parts(k)
@@ -119,9 +127,10 @@ def _f_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float) 
         gap = np.abs(k2 - pt)
         gap[gap == 0.0] = math.ulp(pt)
         log = np.log1p(2.0 * np.minimum(pt, k2) / gap)
-        # the subtraction applies on [0, pt) only; c = 0 leaves w + a L exactly
-        c = a_half * (k < pt)
-        return w + (a - c) * log + c * log_mean
+        # the subtraction applies on [0, pt) only; beyond, w + a L exactly
+        inner = k < pt
+        sub = np.where(inner, a0 + a1 * (k - 0.5 * pt), 0.0)
+        return w + (a - sub) * log + np.where(inner, sub_mean, 0.0)
 
     return -c * integrate_semi_infinite(integrand, scale, tol, points=points).value
 
