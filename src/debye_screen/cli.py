@@ -5,7 +5,9 @@ the emitted manifest reparses to an identical RunConfig and re-emits
 byte-for-byte. Every artifact embeds the config hash and the module
 tolerances, and identical config + seed reproduce identical bytes at the
 configured precision. Exit status is 0 on success (all checks pass),
-1 on computation failure, 2 on configuration errors.
+1 on computation failure, 2 on configuration errors and on artifacts
+that cannot be written (an ``--out-csv`` or ``--out-json`` path in a
+missing directory, say).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .maxwell import (
     SourceSpec,
     delta_family_limit,
     screening_profile,
+    smeared_yukawa_reference,
     yukawa_reference,
 )
 from .polarization import f_hat_temporal, scan_kernel
@@ -450,6 +453,14 @@ def run_screening(config: RunConfig) -> Artifacts:
         width_bias = math.expm1(0.5 * config.source.width ** 2 * mu2)
         art.checks.append(_check("screening_rate", rate, reference_rate,
                                  rate_tol + width_bias))
+    if config.kernel.mode == "zeroth_order" and config.source.family == "smoothed_point":
+        # every radius against the closed form: the rate fit reads only the
+        # slope of log(rA), so it cannot see a wrong amplitude
+        gap = 0.0
+        for r, v in zip(prof.r_grid, prof.values):
+            ref = smeared_yukawa_reference(q, p.lam, m_d_sq, config.source.width, r)
+            gap = max(gap, abs(v - ref) / max(abs(ref), 1e-300))
+        art.checks.append(_check("profile_vs_smeared_yukawa", gap, 0.0, tol))
     return art
 
 
@@ -700,6 +711,10 @@ def main(argv=None) -> int:
             _write_csv(config.output.csv_path, config, art)
         if config.output.json_path:
             _write_json(config.output.json_path, config, art)
+    except OSError as exc:
+        # the runners do no file I/O, so this is an artifact that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     except DebyeScreenError as exc:
         print(f"computation failed [{config.subcommand}] "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -11,15 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .quadrature import integrate_semi_infinite
-from .specfun import (
-    SeriesResult,
-    ThermalParams,
-    alternating_sum,
-    bessel_k,
-    dispersion,
-    fermi_factor,
-)
+from .specfun import SeriesResult, ThermalParams, _fermi, alternating_sum, bessel_k
 
 __all__ = [
     "DebyeResult",
@@ -111,7 +106,8 @@ def debye_mass_sq_integral(params: ThermalParams, tol: float = 1e-10) -> DebyeRe
     pref = params.charge_e ** 2 * beta / math.pi ** 2
 
     def integrand(p):
-        f = fermi_factor(beta, dispersion(p, m))
+        # p >= 0 on the integration range, so the energies need no checks
+        f = _fermi(beta, np.hypot(p, m))
         return p * p * f * (1.0 - f)
 
     quad = integrate_semi_infinite(integrand, 1.0 / beta, tol)

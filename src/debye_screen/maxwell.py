@@ -30,6 +30,7 @@ __all__ = [
     "source_fourier",
     "screening_profile",
     "yukawa_reference",
+    "smeared_yukawa_reference",
     "delta_family_limit",
     "default_r_grid",
 ]
@@ -123,6 +124,43 @@ def yukawa_reference(q: float, lam: float, m_d_sq: float, r: float) -> float:
     if lam < 0.0 or m_d_sq < 0.0:
         raise ValueError("lam and m_d_sq must be >= 0")
     return q * math.exp(-math.sqrt(lam * m_d_sq) * r) / (4.0 * math.pi * r)
+
+
+def _erfcx(z: float) -> float:
+    """The scaled complementary error function e^{z^2} erfc(z), z >= 0.
+
+    Directly below z = 25, where neither factor leaves the double range;
+    above, the asymptotic series 1/(z sqrt(pi)) sum_k (-1)^k (2k-1)!!/(2z^2)^k,
+    whose eighth term is below 1e-17 of the sum there.
+    """
+    if z < 25.0:
+        return math.exp(z * z) * math.erfc(z)
+    s, term, total = 0.5 / (z * z), 1.0, 1.0
+    for k in range(1, 9):
+        term *= -(2 * k - 1) * s
+        total += term
+    return total / (z * math.sqrt(math.pi))
+
+
+def smeared_yukawa_reference(q: float, lam: float, m_d_sq: float, width: float,
+                             r: float) -> float:
+    """Zeroth-order potential of a smoothed point of charge q and width w.
+
+    The sine transform of q e^{-w^2 p^2 / 2} / (p^2 + mu^2), mu^2 = lam m_d_sq:
+    (q / 8 pi r) e^{mu^2 w^2/2} [e^{-mu r} erfc((mu w^2 - r)/(sqrt 2 w))
+    - e^{mu r} erfc((mu w^2 + r)/(sqrt 2 w))]. The exponents of the
+    second term sum to -r^2/(2 w^2) plus those of e^{z^2} erfc(z), so it
+    is formed that way and does not overflow at large mu r.
+    """
+    if not (r > 0.0 and width > 0.0):
+        raise ValueError(f"r and width must be > 0, got {r}, {width}")
+    if lam < 0.0 or m_d_sq < 0.0:
+        raise ValueError("lam and m_d_sq must be >= 0")
+    mu = math.sqrt(lam * m_d_sq)
+    s = math.sqrt(2.0) * width
+    near = math.exp(0.5 * (mu * width) ** 2 - mu * r) * math.erfc((mu * width * width - r) / s)
+    far = math.exp(-0.5 * (r / width) ** 2) * _erfcx((mu * width * width + r) / s)
+    return q * (near - far) / (8.0 * math.pi * r)
 
 
 def default_r_grid(m_d_sq: float) -> list[float]:

@@ -4,6 +4,7 @@ Four workhorses:
 
 * adaptive semi-infinite integrals whose last Gauss-Kronrod panel
   is mapped onto [c, inf), so the tail is inside the error estimate,
+  one at a time or many in lockstep,
 * 2D radial-angular momentum integrals, one adaptive angular integral
   per radial shell, with removable-singularity handling delegated to
   the caller's kernel (the polarization kernel no longer runs on it; the
@@ -23,7 +24,13 @@ a value whose error is its rounding floor (see _osc_integral).
 Every integrand takes numpy arrays: a Gauss-Kronrod integrand, the
 oscillatory ones included, gets a 1-D array of abscissae, 21 per panel,
 and a radial-angular kernel a float p with a 1-D array of angles t, its
-values broadcast to the shape of t. The Monte Carlo
+values broadcast to the shape of t. integrate_semi_infinite_batch runs
+K semi-infinite integrals in lockstep, each on the one QAG loop
+(_qag_one): its integrand f(x, k) gets the abscissae of all the
+integrals still running, and in k the index of the integral each
+abscissa belongs to. Each panel's sums are reduced on its own row, so
+an integral gives the same bits in a batch as alone;
+integrate_semi_infinite is the K = 1 case. The Monte Carlo
 integrand maps two (n, 3) blocks of points to n values, or to a (k, n)
 array of k integrands estimated on one draw. There is no scalar
 fallback, so a float-only integrand raises, and a non-finite value
@@ -47,6 +54,7 @@ __all__ = [
     "QuadratureResult",
     "TestProfile",
     "integrate_semi_infinite",
+    "integrate_semi_infinite_batch",
     "integrate_radial_angular",
     "sine_transform_radial",
     "monte_carlo_6d",
@@ -121,12 +129,15 @@ _GK21_HALF = (
      0.295524224714752870173892994651338),
 )
 _GK21_CENTRE = 0.149445554002916905664936468389821
-# the same rule over all 21 abscissae in ascending order; the Gauss
-# nodes are the odd entries, and _WG holds their weights
+# the same rule over all 21 abscissae in ascending order: the Kronrod
+# weights, and beside them the Gauss weights, 0.0 at the Kronrod-only
+# abscissae (the even entries)
 _XK = np.array([*(-x for x, _, _ in _GK21_HALF), 0.0, *(x for x, _, _ in reversed(_GK21_HALF))])
 _WK = np.array([*(w for _, w, _ in _GK21_HALF), _GK21_CENTRE,
                 *(w for _, w, _ in reversed(_GK21_HALF))])
-_WG = np.array([*(g for _, _, g in _GK21_HALF if g), *(g for _, _, g in reversed(_GK21_HALF) if g)])
+_WKG = np.stack((_WK, [*(g for _, _, g in _GK21_HALF), 0.0,
+                       *(g for _, _, g in reversed(_GK21_HALF))]), axis=1)
+_HALVES = np.array([[0.0], [0.5]])   # 0 and 1/2 of a panel's Kronrod sum: |f| and |f - mean|
 _EPS = 2.220446049250313e-16
 _TINY = 2.2250738585072014e-308
 
@@ -137,42 +148,66 @@ _XK_INF = (1.0 + _XK) / (1.0 - _XK)
 _JK_INF = 2.0 / (1.0 - _XK) ** 2
 
 
-def _gk21(f, panels, s=1.0):
+class _NonFinitePanel(IntegrandError):
+    """A NaN or inf integrand value that _gk21 found, with its panel's index."""
+
+    def __init__(self, message, abscissa, panel):
+        super().__init__(message, abscissa=abscissa)
+        self.panel = panel
+
+
+def _gk21(f, panels, scales=None, *args):
     """The 21-point Gauss-Kronrod rule on each (a, b) of ``panels``, with
     one call of f for all of them: a list of (value, error, a, b, resasc,
     resabs).
 
     f gets the 1-D array of the panels' abscissae, 21 a panel in panel
-    order, and its values broadcast to that shape; a NaN or inf value
-    raises IntegrandError at the first abscissa that produced one. Only
-    the last panel may have b = inf. It is mapped onto t in [-1, 1) by
-    x = a + s (1+t)/(1-t), so its abscissae are the constants
-    a + s _XK_INF and its values carry the Jacobian s _JK_INF.
+    order, then ``args``, and its values broadcast to that shape; a NaN or inf value
+    raises IntegrandError (_NonFinitePanel, which also names the panel)
+    at the first abscissa that produced one. A panel with b = inf is
+    mapped onto t in [-1, 1) by x = a + s (1+t)/(1-t), s its entry of
+    ``scales``, so its abscissae are the constants a + s _XK_INF and its
+    values carry the Jacobian s _JK_INF.
+    Each panel's weighted sums are a product of its own row, so a panel's
+    result is the same to the bit whatever other panels share the call.
     The error estimate is QUADPACK's: the Kronrod-Gauss difference,
     rescaled against resasc (the panel's integral of |f - mean|) and
     floored at 50 eps resabs, the rounding level of the panel's
     integral of |f|.
     """
-    mapped = panels[-1][1] == math.inf
-    hs = [s if b == math.inf else 0.5 * (b - a) for a, b in panels]
+    hs = [0.5 * (b - a) for a, b in panels]
+    mapped = [i for i, (_, b) in enumerate(panels) if b == math.inf]
+    for i in mapped:
+        hs[i] = scales[i]
     x = np.multiply.outer(hs, _XK)
     x += np.array([a if b == math.inf else 0.5 * (a + b) for a, b in panels])[:, None]
-    if mapped:
-        x[-1] = panels[-1][0] + s * _XK_INF
+    for i in mapped:
+        x[i] = panels[i][0] + hs[i] * _XK_INF
     x = x.ravel()
     fx = np.empty_like(x)
-    fx[:] = f(x)   # a copy, broadcast to the abscissae
-    if not np.isfinite(fx).all():
-        i = np.flatnonzero(~np.isfinite(fx))[0]
-        raise IntegrandError(f"integrand returned {fx[i]} at x={x[i]}", abscissa=float(x[i]))
+    fx[:] = f(x, *args)   # a copy, broadcast to the abscissae
     fx = fx.reshape(len(panels), _XK.size)
-    if mapped:
-        fx[-1] *= _JK_INF
-    kronrod = fx @ _WK
-    sums = zip(kronrod.tolist(), (fx[:, 1::2] @ _WG).tolist(), (np.abs(fx) @ _WK).tolist(),
-               (np.abs(fx - 0.5 * kronrod[:, None]) @ _WK).tolist())
+    for i in mapped:
+        fx[i] *= _JK_INF
+    # each panel is reduced as its own (1, 21) row, so its sums do not
+    # depend on the other panels in the call; one (n, 21) BLAS product
+    # would round a row by its place in the matrix
+    kronrod, gauss = np.matmul(fx[:, None, :], _WKG)[:, 0].T
+    kronrod_list = kronrod.tolist()
+    # the Kronrod weights are positive, so a NaN or inf value leaves its
+    # panel's sum NaN or inf: only then are the values searched
+    if not math.isfinite(sum(kronrod_list)):
+        bad = np.flatnonzero(~np.isfinite(fx.ravel()))
+        if bad.size:
+            i = bad[0]
+            raise _NonFinitePanel(f"integrand returned {fx.flat[i]} at x={x[i]}", float(x[i]),
+                                  int(i) // _XK.size)
+    # |f| and |f - mean| of each panel
+    dev = np.abs(fx - (_HALVES * kronrod)[:, :, None])
+    resabs, resasc = np.matmul(dev[:, :, None, :], _WK)[:, :, 0].tolist()
     out = []
-    for (a, b), h, (resk, resg, resabs, resasc) in zip(panels, hs, sums):
+    for (a, b), h, resk, resg, resabs, resasc in zip(panels, hs, kronrod_list, gauss.tolist(),
+                                                    resabs, resasc):
         ah = abs(h)
         resabs *= ah
         resasc *= ah
@@ -185,25 +220,23 @@ def _gk21(f, panels, s=1.0):
     return out
 
 
-def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=1.0):
-    """Adaptive Gauss-Kronrod integral of f over [a, b]; b may be inf.
+def _qag_one(edges, scale, epsabs, epsrel, limit):
+    """One QUADPACK QAG integral (Piessens et al. 1983), as a generator.
 
-    QUADPACK QAG style: the interval, split first at ``points``, is
-    covered by 21-point panels, and the panel with the largest error is
-    bisected until the summed error is below max(epsabs, epsrel*|value|),
-    ``limit`` panels exist, or rounding stalls the refinement (QUADPACK's
-    iroff counters, or a panel too narrow to bisect). When b = inf the
-    last panel [c, inf) is mapped with length scale ``scale`` (see
-    _gk21); its bisection gives a plain panel [c, c + s] and the mapped
-    panel [c + s, inf) of scale 2s, so the tail stays inside the error
-    estimate. Returns (value, error, evaluations); the error is the
-    summed panel estimate also when the loop stops short, so callers can
-    judge convergence themselves, and evaluations counts the abscissae f
-    got, 21 a panel. f is called once for the first panels and once per
-    bisection, for both halves (see _gk21).
+    The interval is covered by the panels between consecutive ``edges``
+    (b = inf allowed, its panel mapped with length scale ``scale``, see
+    _gk21), and the panel with the largest error is bisected until the
+    summed error is below max(epsabs, epsrel*|value|), ``limit`` panels
+    exist, or rounding stalls the refinement (QUADPACK's iroff counters,
+    or a panel too narrow to bisect). A mapped panel's bisection gives a
+    plain panel [c, c + s] and the mapped panel [c + s, inf) of scale 2s,
+    so the tail stays inside the error estimate. The generator yields
+    (panels, scale), the panels it needs next, and is sent their _gk21
+    results; it returns (value, error, evaluations), the error being the
+    summed panel estimate also when the loop stops short, so callers
+    judge convergence themselves.
     """
-    edges = [a, *sorted(p for p in (points or ()) if a < p < b), b]
-    panels = _gk21(f, list(zip(edges, edges[1:])), scale)
+    panels = yield list(zip(edges, edges[1:])), scale
     area = sum(p[0] for p in panels)
     errsum = sum(p[1] for p in panels)
     if errsum == 0.0 or (errsum <= max(epsabs, epsrel * abs(area))
@@ -213,17 +246,16 @@ def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=
     # left edges are unique, so they break ties in the error key
     heap = [(-p[1], p[2], p) for p in panels]
     heapq.heapify(heap)
-    n = len(panels)
+    n = n0 = len(panels)
     iroff1 = iroff2 = 0
     while n < limit:
         _, _, (val, err, lo, hi, *_) = heapq.heappop(heap)
         if hi == math.inf:
-            # only the last panel is infinite, so one scale suffices
             mid = lo + scale
             scale *= 2.0
         else:
             mid = 0.5 * (lo + hi)
-        left, right = _gk21(f, [(lo, mid), (mid, hi)], scale)
+        left, right = yield [(lo, mid), (mid, hi)], scale
         area12 = left[0] + right[0]
         err12 = left[1] + right[1]
         area += area12 - val
@@ -243,7 +275,116 @@ def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=
         if max(abs(lo), abs(hi)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
             break
     # each bisection evaluated two new panels
-    return math.fsum(e[2][0] for e in heap), errsum, _XK.size * (2 * n - len(panels))
+    return math.fsum(e[2][0] for e in heap), errsum, _XK.size * (2 * n - n0)
+
+
+def _qag(f, edges, scales, epsabs, epsrel, limit):
+    """K adaptive Gauss-Kronrod integrals in lockstep, one _qag_one each.
+
+    Integral j runs over ``edges[j]`` = [a, *breakpoints, b] with tail
+    scale ``scales[j]``. Each round collects the panels that every
+    integral still running asks for, its first panels or the two halves
+    of one bisection, and evaluates them in one _gk21 call, so f is
+    called once a round: f(x, k) gets the 1-D array of abscissae and the
+    index k of the integral each belongs to, and maps them elementwise.
+    _gk21 reduces each panel on its own, so every integral takes the
+    bisections and gives the bits it would give alone.
+
+    Returns one entry per integral: its (value, error, evaluations), the
+    evaluations counting the abscissae f got for it, or the
+    IntegrandError its integrand raised, which ends that integral alone
+    (the round is evaluated again without it).
+    """
+    if len(edges) == 1:
+        # with nothing to gather from other integrals, the one integral is
+        # driven directly, at the cost of the scalar loop it replaces
+        run = _qag_one(edges[0], scales[0], epsabs, epsrel, limit)
+        panels, scale = next(run)
+        try:
+            while True:
+                idx = np.zeros(_XK.size * len(panels), dtype=np.intp)
+                panels, scale = run.send(_gk21(f, panels, [scale] * len(panels), idx))
+        except StopIteration as done:
+            return [done.value]
+        except _NonFinitePanel as exc:
+            return [exc]
+    out = [None] * len(edges)
+    runs = [_qag_one(e, s, epsabs, epsrel, limit) for e, s in zip(edges, scales)]
+    asks = [(j, *next(run)) for j, run in enumerate(runs)]
+    owners = idx = None
+    while asks:
+        panels, round_owners, round_scales = [], [], []
+        for j, ps, s in asks:
+            panels += ps
+            round_owners += [j] * len(ps)
+            round_scales += [s] * len(ps)
+        results = []
+        while panels:
+            if round_owners != owners:
+                owners, idx = round_owners, np.array(round_owners).repeat(_XK.size)
+            try:
+                results = _gk21(f, panels, round_scales, idx)
+                break
+            except _NonFinitePanel as exc:
+                j = round_owners[exc.panel]
+                out[j] = exc
+                keep = [i for i, o in enumerate(round_owners) if o != j]
+                panels, round_owners, round_scales = (
+                    [v[i] for i in keep] for v in (panels, round_owners, round_scales))
+        pending, asks, pos = asks, [], 0
+        for j, ps, _ in pending:
+            if out[j] is not None:
+                continue
+            try:
+                asks.append((j, *runs[j].send(results[pos:pos + len(ps)])))
+            except StopIteration as done:
+                out[j] = done.value
+            pos += len(ps)
+    return out
+
+
+def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=1.0):
+    """One adaptive Gauss-Kronrod integral of f over [a, b], split first
+    at ``points``; b may be inf. The K = 1 case of _qag, with f mapping
+    the abscissae alone: returns (value, error, evaluations), and raises
+    the IntegrandError of a non-finite value.
+    """
+    edges = [a, *sorted(p for p in (points or ()) if a < p < b), b]
+    res = _qag(lambda x, _: f(x), [edges], [scale], epsabs, epsrel, limit)[0]
+    if isinstance(res, IntegrandError):
+        raise res
+    return res
+
+
+def integrate_semi_infinite_batch(f, decay_scales, tol: float, *, points=None) -> list:
+    """K integrals over [0, inf), each to relative tolerance ``tol``, in lockstep.
+
+    f(x, k) maps a 1-D numpy array of abscissae x, holding those of every
+    integral still running, and the index k of the integral each
+    abscissa belongs to, to their values; it is called once for the
+    first panels and once per bisection round (see _qag). Integral j has
+    first tail length scale ``decay_scales[j]`` and breakpoints
+    ``points[j]`` (``points`` None, or an entry None, for none), and is
+    the integral integrate_semi_infinite(lambda x: f(x, j), ...) computes,
+    to the bit. Returns one entry per integral: its QuadratureResult, or
+    the ConvergenceError or IntegrandError it ended with, which stops no
+    other integral.
+    """
+    if not all(s > 0.0 for s in decay_scales):
+        raise ValueError(f"decay scales must be > 0, got {list(decay_scales)}")
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be > 0, got {tol}")
+    edges = [[0.0, *sorted(p for p in pts if 0.0 < p < math.inf), math.inf]
+             if pts else (0.0, math.inf) for pts in points or [None] * len(decay_scales)]
+    out = []
+    for res in _qag(f, edges, decay_scales, 0.0, max(1e-12, 0.25 * tol), 500):
+        if not isinstance(res, IntegrandError):
+            val, err, n = res
+            res = (QuadratureResult(value=val, error_estimate=err, evaluations=n)
+                   if err <= tol * abs(val) else
+                   _missed(f"semi-infinite integral missed relative tol {tol:.1e}", val, err))
+        out.append(res)
+    return out
 
 
 def integrate_semi_infinite(f, decay_scale: float, tol: float, *,
@@ -259,17 +400,13 @@ def integrate_semi_infinite(f, decay_scale: float, tol: float, *,
     error estimate, so no decay law is assumed. Convergence means
     err <= tol * |value|, the right notion for integrals whose scale is
     not known a priori; a miss raises ConvergenceError with the value and
-    error reached.
+    error reached. The K = 1 case of integrate_semi_infinite_batch.
     """
-    if not (decay_scale > 0.0):
-        raise ValueError(f"decay_scale must be > 0, got {decay_scale}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol}")
-    val, err, n = _quad(f, 0.0, math.inf, epsabs=0.0, epsrel=max(1e-12, 0.25 * tol),
-                        limit=500, points=points, scale=decay_scale)
-    if not err <= tol * abs(val):
-        raise _missed(f"semi-infinite integral missed relative tol {tol:.1e}", val, err)
-    return QuadratureResult(value=val, error_estimate=err, evaluations=n)
+    res = integrate_semi_infinite_batch(lambda x, _: f(x), [decay_scale], tol,
+                                        points=[points])[0]
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
 def integrate_radial_angular(

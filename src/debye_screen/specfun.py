@@ -110,12 +110,15 @@ def fermi_factor(beta: float, omega):
     w = np.asarray(omega, dtype=float)
     if (w < 0.0).any():
         raise ValueError(f"omega must be >= 0, got {omega}")
-    if math.isinf(beta):
-        out = np.where(w > 0.0, 0.0, 0.5)
-    else:
-        e = np.exp(-beta * np.minimum(w, 746.0 / beta))
-        out = e / (1.0 + e)
+    out = np.where(w > 0.0, 0.0, 0.5) if math.isinf(beta) else _fermi(beta, w)
     return out if out.ndim else float(out)
+
+
+def _fermi(beta: float, w: np.ndarray) -> np.ndarray:
+    """fermi_factor at a finite beta, for an array of energies known to be
+    >= 0: the integrands' hot path, without fermi_factor's checks."""
+    e = np.exp(-beta * np.minimum(w, 746.0 / beta))
+    return e / (1.0 + e)
 
 
 def fermi_factor_prime(beta: float, omega: float) -> float:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debye_screen import cli
+from debye_screen import cli, maxwell
 from debye_screen.cli import (
     ConfigError,
     KernelRequest,
@@ -381,6 +381,30 @@ class TestMainInProcess:
     def test_missing_config_file(self, tmp_path, capsys):
         assert cli.main(["debye", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_screening_profile_check_sees_a_wrong_amplitude(self, monkeypatch):
+        # a 1% amplitude error in every transform leaves the rate fit as it
+        # was; the pointwise closed-form check must fail on it
+        config = cli.default_config("screening")
+        checks = {c["name"]: c for c in cli.run_screening(config).checks}
+        assert checks["profile_vs_smeared_yukawa"]["pass"]
+        assert checks["profile_vs_smeared_yukawa"]["value"] <= 1e-12
+        transform = maxwell.sine_transform_radial
+        monkeypatch.setattr(maxwell, "sine_transform_radial",
+                            lambda *args: [1.01 * v for v in transform(*args)])
+        checks = {c["name"]: c for c in cli.run_screening(config).checks}
+        assert checks["screening_rate"]["pass"]
+        assert not checks["profile_vs_smeared_yukawa"]["pass"]
+        assert checks["profile_vs_smeared_yukawa"]["value"] == pytest.approx(0.01, rel=1e-6)
+
+    @pytest.mark.parametrize("flag", ["--out-json", "--out-csv"])
+    def test_unwritable_artifact_exits_2(self, monkeypatch, tmp_path, capsys, flag):
+        # the run completes, then its artifact has nowhere to go
+        monkeypatch.setitem(cli._RUNNERS, "debye", lambda cfg: _fake_artifacts(True))
+        path = tmp_path / "missing" / "out"
+        assert cli.main(["debye", flag, str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and str(path) in err
 
 
 def run_cli(args, cwd):

@@ -394,3 +394,26 @@ def test_profile_scales_linearly_with_charge(r, q):
     scaled = screening_profile(SourceSpec.smoothed_point(0.5, charge_q=q),
                                UNIT_MD, "zeroth_order", [r], 1e-8).values[0]
     assert scaled == pytest.approx(q * base, rel=1e-10, abs=1e-14)
+
+
+class TestSmearedYukawaReference:
+    @pytest.mark.parametrize("mu, w, r", [
+        (1.0, 0.05, 3.0), (5.0, 0.5, 10.0), (0.3, 2.0, 0.1),
+        (50.0, 1.0, 30.0), (2000.0, 0.02, 0.5)])
+    def test_matches_forty_digits(self, mu, w, r):
+        # the last two have mu r > 700, where e^{mu r} alone overflows
+        import mpmath as mp
+        with mp.workdps(40):
+            s = mp.sqrt(2) * w
+            exact = (mp.exp(mu * mu * w * w / 2) / (8 * mp.pi * r)
+                     * (mp.exp(-mu * r) * mp.erfc((mu * w * w - r) / s)
+                        - mp.exp(mu * r) * mp.erfc((mu * w * w + r) / s)))
+        got = maxwell.smeared_yukawa_reference(1.0, 1.0, mu * mu, w, r)
+        assert got == pytest.approx(float(exact), rel=1e-12)
+
+    def test_coulomb_limit_is_the_smeared_charge(self):
+        # lam = 0: the charge inside r of a Gaussian cloud, q erf(r / sqrt(2) w) / (4 pi r)
+        for r in (0.01, 0.3, 2.0):
+            want = 2.5 * math.erf(r / (math.sqrt(2.0) * 0.4)) / (4.0 * math.pi * r)
+            assert maxwell.smeared_yukawa_reference(2.5, 0.0, 0.7, 0.4, r) == pytest.approx(
+                want, rel=1e-14)

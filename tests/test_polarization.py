@@ -1,5 +1,6 @@
 """Kernel channels, static limits, vacuum pieces, and the screened denominator."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from debye_screen.debye import debye_mass_sq
 from debye_screen.errors import (
     ConvergenceError,
     InfraredDivergenceError,
+    IntegrandError,
     PoleDetectedError,
     ScanError,
 )
@@ -211,14 +213,14 @@ class TestRelativeTolerance:
         # the log point pt/2 is integrated in closed form; bisecting
         # towards it cost up to 2,205 evaluations a node
         calls = []
-        inner = polarization.integrate_semi_infinite
+        inner = polarization.integrate_semi_infinite_batch
 
         def counted(*args, **kwargs):
             res = inner(*args, **kwargs)
-            calls.append(res.evaluations)
+            calls.extend(r.evaluations for r in res)
             return res
 
-        monkeypatch.setattr(polarization, "integrate_semi_infinite", counted)
+        monkeypatch.setattr(polarization, "integrate_semi_infinite_batch", counted)
         polarization._f_hat(channel, pt, ThermalParams(beta=1.0, mass=mass), 1e-8)
         assert len(calls) == 1 and calls[0] <= 1100
 
@@ -468,19 +470,61 @@ class TestKernelScan:
     def test_abort_names_the_failed_node(self, monkeypatch):
         # a kernel miss at one interior node: the message names that node,
         # and the points before it ride along
-        f_hat = polarization._f_hat
+        f_hat_nodes = polarization._f_hat_nodes
 
-        def missed_at_half(channel, pt, params, tol):
-            if pt == 0.5:
-                raise ConvergenceError("semi-infinite integral missed", 1.0, 0.5)
-            return f_hat(channel, pt, params, tol)
+        def missed_at_half(channel, pts, params, tol):
+            return [ConvergenceError("semi-infinite integral missed", 1.0, 0.5) if pt == 0.5 else v
+                    for pt, v in zip(pts, f_hat_nodes(channel, pts, params, tol))]
 
-        monkeypatch.setattr(polarization, "_f_hat", missed_at_half)
+        monkeypatch.setattr(polarization, "_f_hat_nodes", missed_at_half)
         with pytest.raises(ScanError, match=r"aborted at \|pt\| = 0.5: semi-infinite") as exc:
             scan_kernel("temporal", [0.25, 0.5, 1.0], UNIT, 1e-8)
         assert isinstance(exc.value.__cause__, ConvergenceError)
         assert [pt.p_tilde_mag for pt in exc.value.partial] == [0.25]
         assert exc.value.partial[0] == scan_kernel("temporal", [0.25], UNIT, 1e-8).points[0]
+
+    def test_nan_integrand_names_its_node(self, monkeypatch):
+        # the second node's integrand turns NaN: that integral alone ends,
+        # so the scan names its node, and the first node, which shared
+        # every integrand call with it, keeps the value it has alone
+        alone = scan_kernel("temporal", [0.25], UNIT, 1e-8).points[0]
+        batch = polarization.integrate_semi_infinite_batch
+
+        def nan_at_second(f, scales, tol, **kwargs):
+            return batch(lambda x, k: np.where(k == 1, np.nan, f(x, k)), scales, tol, **kwargs)
+
+        monkeypatch.setattr(polarization, "integrate_semi_infinite_batch", nan_at_second)
+        with pytest.raises(ScanError,
+                           match=r"aborted at \|pt\| = 0.5: integrand returned nan") as exc:
+            scan_kernel("temporal", [0.25, 0.5, 1.0], UNIT, 1e-8)
+        assert isinstance(exc.value.__cause__, IntegrandError)
+        assert exc.value.__cause__.abscissa >= 0.0
+        assert exc.value.partial == (alone,)
+
+
+@settings(max_examples=25, deadline=None)
+@given(channel=st.sampled_from(["temporal", "spatial"]),
+       beta=st.floats(0.1, 20.0),
+       mass=st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+       gaps=st.lists(st.floats(0.02, 1.5), min_size=1, max_size=6))
+def test_scan_points_equal_single_node_calls(channel, beta, mass, gaps):
+    # a scan integrates all its nodes in one lockstep batch; each point
+    # must still be, to the bit, what the single-node calls give
+    grid = [0.0, *itertools.accumulate(gaps)]
+    params = ThermalParams(beta=beta, mass=mass)
+    single = [(polarization._f_hat(channel, pt, params, 1e-8), pt) for pt in grid]
+    if channel == "spatial" and mass == 0.0:
+        # the massless spatial vacuum piece diverges at every pt > 0, so
+        # the scan stops at grid[1]; the f_hat batch is compared directly
+        with pytest.raises(ScanError, match=rf"aborted at \|pt\| = {grid[1]}:") as exc:
+            scan_kernel(channel, grid, params, 1e-8)
+        assert exc.value.partial == (ScanPoint(0.0, 0.0, 0.0, 0.0),)
+        assert polarization._f_hat_nodes(channel, grid, params, 1e-8) == [f for f, _ in single]
+        return
+    scan = scan_kernel(channel, grid, params, 1e-8)
+    for point, (fh, pt) in zip(scan.points, single):
+        bh = b_hat(channel, pt, params, 1e-8)
+        assert point == (pt, fh, bh, pt * pt - params.lam * (fh + bh))
 
 
 @settings(max_examples=10, deadline=None)

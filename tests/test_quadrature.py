@@ -11,6 +11,7 @@ from debye_screen.quadrature import (
     CubicBallSampler,
     integrate_radial_angular,
     integrate_semi_infinite,
+    integrate_semi_infinite_batch,
     monte_carlo_6d,
     sine_transform_radial,
 )
@@ -104,6 +105,62 @@ class TestSemiInfinite:
         with pytest.raises(TypeError):
             call(scalar_only)
         assert len(calls) == 1
+
+
+class TestSemiInfiniteBatch:
+    """K integrals in lockstep, each the integral it is alone."""
+
+    RATES = (0.3, 1.0, 2.5, 7.0)
+
+    @staticmethod
+    def integrand(rates):
+        rates = np.asarray(rates)
+        return lambda x, k: x * x * np.exp(-rates[k] * x) / (1.0 + x)
+
+    def test_each_integral_is_its_own_call_to_the_bit(self):
+        batch = integrate_semi_infinite_batch(self.integrand(self.RATES), [1.0, 0.5, 2.0, 1.0],
+                                              1e-10, points=[[1.0], None, [0.2, 3.0], None])
+        for res, rate, scale, pts in zip(batch, self.RATES, [1.0, 0.5, 2.0, 1.0],
+                                         [[1.0], None, [0.2, 3.0], None]):
+            alone = integrate_semi_infinite(lambda x: self.integrand([rate])(x, 0), scale, 1e-10,
+                                            points=pts)
+            assert res == alone
+
+    def test_one_call_a_round_with_the_owner_of_each_abscissa(self):
+        calls = []
+        f = self.integrand(self.RATES)
+
+        def recorded(x, k):
+            calls.append(np.bincount(k, minlength=len(self.RATES)))
+            return f(x, k)
+
+        batch = integrate_semi_infinite_batch(recorded, [1.0] * 4, 1e-10)
+        rounds = len(calls)
+        # every integral takes one panel, then two per round while it runs
+        assert list(calls[0]) == [21] * 4
+        assert all(set(c.tolist()) <= {0, 42} for c in calls[1:])
+        assert [res.evaluations for res in batch] == np.sum(calls, axis=0).tolist()
+        assert rounds == 1 + max(res.evaluations for res in batch) // 42
+
+    def test_a_failing_integral_stops_no_other(self):
+        # a NaN in the second integral and a missed tolerance in the third
+        # come back in their places; the others are their own calls
+        f = self.integrand(self.RATES)
+
+        def bad(x, k):
+            out = f(x, k)
+            return np.where((k == 1) & (x > 2.0), np.nan, np.where(k == 2, 1.0 / (1.0 + x), out))
+
+        batch = integrate_semi_infinite_batch(bad, [1.0] * 4, 1e-10)
+        assert isinstance(batch[1], IntegrandError) and batch[1].abscissa > 2.0
+        assert isinstance(batch[2], ConvergenceError)
+        for j in (0, 3):
+            assert batch[j] == integrate_semi_infinite(
+                lambda x: self.integrand([self.RATES[j]])(x, 0), 1.0, 1e-10)
+
+    def test_bad_scales_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_semi_infinite_batch(self.integrand(self.RATES), [1.0, 0.0], 1e-8)
 
 
 class TestGaussKronrod:
