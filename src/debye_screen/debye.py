@@ -9,7 +9,7 @@ the main correctness lever of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,11 +18,9 @@ from .specfun import SeriesResult, ThermalParams, _fermi, alternating_sum, besse
 
 __all__ = [
     "DebyeResult",
-    "UnitSystem",
     "debye_mass_sq_series",
     "debye_mass_sq_integral",
     "debye_mass_sq_massless",
-    "debye_mass_sq_si",
     "debye_mass_sq",
     "debye_length",
 ]
@@ -40,20 +38,6 @@ class DebyeResult:
             raise ValueError(f"square mass must be >= 0, got {self.m_d_sq}")
         if self.method not in ("series", "integral", "massless"):
             raise ValueError(f"unknown method {self.method!r}")
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """hbar, c, epsilon0; all 1 in natural units."""
-
-    hbar: float = 1.0
-    c: float = 1.0
-    epsilon0: float = 1.0
-
-    def __post_init__(self):
-        for name in ("hbar", "c", "epsilon0"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be > 0")
 
 
 def _result(m_d_sq: float, method: str, diagnostics=None) -> DebyeResult:
@@ -120,13 +104,6 @@ def debye_mass_sq_massless(params: ThermalParams) -> DebyeResult:
         return _ground_result("massless")
     value = params.charge_e ** 2 / (6.0 * params.beta ** 2)
     return _result(value, "massless")
-
-
-def debye_mass_sq_si(params: ThermalParams, units: UnitSystem, tol: float = 1e-12) -> DebyeResult:
-    """Series route with dimensional prefactor hbar*c/epsilon0 and argument beta*m*c^2."""
-    pref = units.hbar * units.c / units.epsilon0
-    natural = debye_mass_sq_series(replace(params, beta=params.beta * units.c ** 2), tol / pref)
-    return _result(pref * natural.m_d_sq, "series", natural.diagnostics)
 
 
 def debye_mass_sq(params: ThermalParams, tol: float = 1e-10) -> DebyeResult:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .debye import debye_mass_sq
-from .errors import DebyeScreenError, InfraredDivergenceError, PoleDetectedError, ScanError
+from .errors import DebyeScreenError, InfraredDivergenceError, ScanError
 # integrate_radial_angular stays importable here: the benchmark trace wraps it by this name
 from .quadrature import integrate_radial_angular, integrate_semi_infinite_batch  # noqa: F401
 from .specfun import ThermalParams, _fermi
@@ -27,7 +27,6 @@ __all__ = [
     "f_hat_temporal",
     "f_hat_spatial",
     "b_hat",
-    "effective_denominator",
     "scan_kernel",
 ]
 
@@ -269,24 +268,6 @@ def b_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float = 
     """
     _check_node(channel, p_tilde_mag, tol)
     return _value(_b_hat_nodes(channel, [p_tilde_mag], params, tol)[0])
-
-
-def effective_denominator(channel: str, p_tilde_mag: float, params: ThermalParams,
-                          tol: float = 1e-8) -> float:
-    """|pt|^2 - lambda (f_hat + b_hat); raises when it crosses zero."""
-    _check_channel(channel)
-    if not (p_tilde_mag > 0.0):
-        raise ValueError(f"momentum magnitude must be > 0, got {p_tilde_mag}")
-    fh = _f_hat(channel, p_tilde_mag, params, tol)
-    bh = b_hat(channel, p_tilde_mag, params, tol)
-    den = p_tilde_mag ** 2 - params.lam * (fh + bh)
-    scale = p_tilde_mag ** 2 + abs(params.lam) * (abs(fh) + abs(bh))
-    if abs(den) < 10.0 * tol * max(scale, 1.0):
-        raise PoleDetectedError(
-            f"screened denominator vanishes near |pt| = {p_tilde_mag}",
-            p_tilde=p_tilde_mag,
-        )
-    return den
 
 
 def scan_kernel(channel: str, p_grid, params: ThermalParams, tol: float = 1e-8) -> KernelScan:

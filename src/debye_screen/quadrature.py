@@ -295,19 +295,6 @@ def _qag(f, edges, scales, epsabs, epsrel, limit):
     IntegrandError its integrand raised, which ends that integral alone
     (the round is evaluated again without it).
     """
-    if len(edges) == 1:
-        # with nothing to gather from other integrals, the one integral is
-        # driven directly, at the cost of the scalar loop it replaces
-        run = _qag_one(edges[0], scales[0], epsabs, epsrel, limit)
-        panels, scale = next(run)
-        try:
-            while True:
-                idx = np.zeros(_XK.size * len(panels), dtype=np.intp)
-                panels, scale = run.send(_gk21(f, panels, [scale] * len(panels), idx))
-        except StopIteration as done:
-            return [done.value]
-        except _NonFinitePanel as exc:
-            return [exc]
     out = [None] * len(edges)
     runs = [_qag_one(e, s, epsabs, epsrel, limit) for e, s in zip(edges, scales)]
     asks = [(j, *next(run)) for j, run in enumerate(runs)]

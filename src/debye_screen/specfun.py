@@ -1,8 +1,9 @@
 """Special functions shared by all numerics.
 
-Relativistic dispersion, Fermi occupation factors (with a ground-state
-sentinel at beta = +inf), modified Bessel functions of the second kind
-K_0..K_3, and controlled alternating-series summation.
+Thermal parameters (with a ground-state sentinel at beta = +inf),
+relativistic dispersion, the Fermi occupation factor at finite beta,
+modified Bessel functions of the second kind K_0..K_3, and controlled
+alternating-series summation.
 
 All functions here are pure and safe to call from any number of threads.
 """
@@ -20,8 +21,6 @@ __all__ = [
     "ThermalParams",
     "SeriesResult",
     "dispersion",
-    "fermi_factor",
-    "fermi_factor_prime",
     "bessel_k",
     "alternating_sum",
 ]
@@ -95,46 +94,17 @@ def dispersion(p_mag, mass: float):
     return out if out.ndim else float(out)
 
 
-def fermi_factor(beta: float, omega):
-    """Thermal occupation 1/(1 + e^{beta*omega}).
-
-    Elementwise over a numpy array of energies; a scalar gives a float.
-    Evaluated as e^{-x}/(1 + e^{-x}) so that any beta*omega neither
-    overflows nor loses the leading exponential: e^{-x} is 0 in double
-    precision from x = 746 on, so x is capped there. At the ground-state
-    sentinel beta = +inf this is 0 for omega > 0 and the symmetric value
-    1/2 at omega = 0.
-    """
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be > 0, got {beta}")
-    w = np.asarray(omega, dtype=float)
-    if (w < 0.0).any():
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    out = np.where(w > 0.0, 0.0, 0.5) if math.isinf(beta) else _fermi(beta, w)
-    return out if out.ndim else float(out)
-
-
 def _fermi(beta: float, w: np.ndarray) -> np.ndarray:
-    """fermi_factor at a finite beta, for an array of energies known to be
-    >= 0: the integrands' hot path, without fermi_factor's checks."""
+    """Thermal occupation 1/(1 + e^{beta*w}) of energies w >= 0, elementwise.
+
+    The Fermi factor inside every kernel and Debye-mass integrand, at a
+    finite beta > 0; neither argument is checked. Evaluated as
+    e^{-x}/(1 + e^{-x}) so that any beta*w neither overflows nor loses
+    the leading exponential: e^{-x} is 0 in double precision from
+    x = 746 on, so x is capped there.
+    """
     e = np.exp(-beta * np.minimum(w, 746.0 / beta))
     return e / (1.0 + e)
-
-
-def fermi_factor_prime(beta: float, omega: float) -> float:
-    """d/d(omega) of the Fermi factor: -beta e^{beta w}/(1+e^{beta w})^2.
-
-    Always <= 0; vanishes at the ground-state sentinel for omega > 0.
-    The double-exponential form keeps it finite for large beta*omega.
-    """
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be > 0, got {beta}")
-    if omega < 0.0:
-        raise ValueError(f"omega must be >= 0, got {omega}")
-    if math.isinf(beta):
-        return 0.0
-    e = math.exp(-beta * omega)
-    return -beta * e / (1.0 + e) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from debye_screen import debye
 from debye_screen.debye import (
-    UnitSystem,
     debye_length,
     debye_mass_sq,
     debye_mass_sq_integral,
     debye_mass_sq_massless,
     debye_mass_sq_series,
-    debye_mass_sq_si,
 )
 from debye_screen.errors import ConvergenceError
 from debye_screen.specfun import ThermalParams, bessel_k
@@ -146,34 +144,6 @@ class TestMasslessRoute:
     def test_charge_scaling(self):
         res = debye_mass_sq_massless(ThermalParams(beta=1.0, mass=0.0, charge_e=2.0))
         assert res.m_d_sq == pytest.approx(4.0 / 6.0, rel=1e-15)
-
-
-class TestSiRoute:
-    def test_natural_units_identity(self):
-        tp = ThermalParams(beta=1.0, mass=1.0)
-        a = debye_mass_sq_si(tp, UnitSystem(), 1e-13).m_d_sq
-        b = debye_mass_sq_series(tp, 1e-13).m_d_sq
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_epsilon0_scaling(self):
-        tp = ThermalParams(beta=1.0, mass=1.0)
-        a = debye_mass_sq_si(tp, UnitSystem(), 1e-13).m_d_sq
-        b = debye_mass_sq_si(tp, UnitSystem(epsilon0=2.0), 1e-13).m_d_sq
-        assert b == pytest.approx(0.5 * a, rel=1e-12)
-
-    @pytest.mark.parametrize("beta_m", [30.0, 100.0])
-    def test_deeply_suppressed_regime_keeps_relative_accuracy(self, beta_m):
-        # an absolute tol would round these 2.3e-15 and 4.8e-46 down to 0
-        tp = ThermalParams(beta=beta_m, mass=1.0)
-        units = UnitSystem()
-        got = debye_mass_sq_si(tp, units).m_d_sq
-        pref = units.hbar * units.c / units.epsilon0
-        assert got == pytest.approx(pref * debye_mass_sq_series(tp).m_d_sq, rel=1e-12)
-        assert got > 0.0
-
-    def test_rejects_bad_units(self):
-        with pytest.raises(ValueError):
-            UnitSystem(hbar=0.0)
 
 
 class TestDebyeLength:

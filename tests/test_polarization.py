@@ -15,14 +15,12 @@ from debye_screen.errors import (
     ConvergenceError,
     InfraredDivergenceError,
     IntegrandError,
-    PoleDetectedError,
     ScanError,
 )
 from debye_screen.polarization import (
     KernelScan,
     ScanPoint,
     b_hat,
-    effective_denominator,
     f_hat_spatial,
     f_hat_temporal,
     scan_kernel,
@@ -385,46 +383,26 @@ class TestVacuumPiece:
 
 
 class TestEffectiveDenominator:
+    """The denominator |pt|^2 - lambda (f_hat + b_hat) that scan_kernel
+    returns at each node; maxwell's pole guard is tested in test_maxwell."""
+
+    @staticmethod
+    def denominators(channel, grid, params, tol):
+        return [pt.denominator for pt in scan_kernel(channel, grid, params, tol).points]
+
     def test_free_field_reduces_to_momentum_squared(self):
         tp = ThermalParams(beta=1.0, mass=1.0, lam=0.0)
-        assert effective_denominator("temporal", 0.7, tp, 1e-10) == pytest.approx(
-            0.49, rel=1e-14)
+        assert self.denominators("temporal", [0.7], tp, 1e-10) == [0.7 * 0.7]
 
     def test_static_limit_sees_square_debye_mass(self):
         pt = 0.02
-        den = effective_denominator("temporal", pt, UNIT, 1e-9)
+        [den] = self.denominators("temporal", [pt], UNIT, 1e-9)
         assert den == pytest.approx(MD2_UNIT + pt * pt, rel=1e-4)
 
     def test_positive_for_weak_coupling(self):
-        for p in (0.05, 0.3, 0.9, 2.0, 5.0):
-            assert effective_denominator("temporal", p, UNIT, 1e-8) > 0.0
-            assert effective_denominator("spatial", p, UNIT, 1e-8) > 0.0
-
-    def test_pole_detected_for_strong_contact_term(self):
-        # a1 = 2 drags the denominator through zero; bracket the crossing
-        # by bisection on the same combination, then demand the guard fires
-        tp = ThermalParams(beta=1.0, mass=1.0, a1=2.0)
-
-        def f(p):
-            return p * p - (f_hat_temporal(p, tp, 1e-10) + 2.0 * p * p)
-
-        lo, hi = 0.2, 0.6
-        flo = f(lo)
-        assert flo > 0.0 > f(hi)
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if (f(mid) > 0) == (flo > 0):
-                lo = mid
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-        with pytest.raises(PoleDetectedError) as exc:
-            effective_denominator("temporal", root, tp, 1e-6)
-        assert exc.value.p_tilde == pytest.approx(root)
-
-    def test_nonpositive_momentum_rejected(self):
-        with pytest.raises(ValueError):
-            effective_denominator("temporal", 0.0, UNIT, 1e-8)
+        grid = (0.05, 0.3, 0.9, 2.0, 5.0)
+        for channel in ("temporal", "spatial"):
+            assert all(den > 0.0 for den in self.denominators(channel, grid, UNIT, 1e-8))
 
 
 class TestKernelScan:
@@ -530,4 +508,4 @@ def test_scan_points_equal_single_node_calls(channel, beta, mass, gaps):
 @settings(max_examples=10, deadline=None)
 @given(p=st.floats(min_value=0.05, max_value=3.0))
 def test_temporal_denominator_positive_under_unit_coupling(p):
-    assert effective_denominator("temporal", p, UNIT, 1e-7) > 0.0
+    assert scan_kernel("temporal", [p], UNIT, 1e-7).points[0].denominator > 0.0

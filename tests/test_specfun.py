@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 from debye_screen.errors import ConvergenceError
 from debye_screen.specfun import (
     ThermalParams,
+    _fermi,
     alternating_sum,
     bessel_k,
     dispersion,
-    fermi_factor,
-    fermi_factor_prime,
 )
 
 # mpmath besselk, 20 digits
@@ -83,29 +82,22 @@ class TestDispersion:
 
 
 class TestFermiFactor:
+    """_fermi, the Fermi factor inside every kernel and Debye-mass integrand."""
+
     def test_half_at_zero(self):
-        assert fermi_factor(1.0, 0.0) == 0.5
+        assert _fermi(1.0, np.array([0.0])).tolist() == [0.5]
 
     def test_closed_form_spot(self):
-        assert fermi_factor(1.0, 1.0) == pytest.approx(0.26894142136999512075, rel=1e-14)
+        assert _fermi(1.0, 1.0) == pytest.approx(0.26894142136999512075, rel=1e-14)
 
     def test_deep_suppression_no_overflow(self):
-        v = fermi_factor(10.0, 100.0)
+        # beta * omega = 1000 is past the 746 cap
+        v = _fermi(10.0, np.array([100.0]))[0]
         assert 0.0 <= v < 1e-300
-
-    def test_ground_state(self):
-        assert fermi_factor(math.inf, 2.0) == 0.0
-        assert fermi_factor(math.inf, 0.0) == 0.5
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            fermi_factor(0.0, 1.0)
-        with pytest.raises(ValueError):
-            fermi_factor(1.0, -1.0)
 
     def test_complement_identity(self):
         for bw in (0.1, 1.0, 10.0, 300.0):
-            f = fermi_factor(1.0, bw)
+            f = _fermi(1.0, bw)
             g = 1.0 - 1.0 / (1.0 + math.exp(-bw))
             assert f == pytest.approx(g, abs=1e-15)
 
@@ -113,7 +105,7 @@ class TestFermiFactor:
     @settings(max_examples=60)
     def test_partial_sums_bracket(self, beta, omega):
         # alternating exponential series partial sums bracket the factor
-        f = fermi_factor(beta, omega)
+        f = _fermi(beta, omega)
         s = 0.0
         for j in range(40):
             s += (-1) ** j * math.exp(-(j + 1) * beta * omega)
@@ -123,21 +115,24 @@ class TestFermiFactor:
                 assert s - 1e-12 <= f
 
     def test_derivative_matches_finite_difference(self):
+        # the Debye-mass integrand's beta f (1 - f) is minus df/domega
         beta, omega, h = 1.3, 0.7, 1e-6
-        fd = (fermi_factor(beta, omega + h) - fermi_factor(beta, omega - h)) / (2 * h)
-        assert fermi_factor_prime(beta, omega) == pytest.approx(fd, rel=1e-8)
+        fd = (_fermi(beta, omega + h) - _fermi(beta, omega - h)) / (2 * h)
+        f = _fermi(beta, omega)
+        assert -beta * f * (1.0 - f) == pytest.approx(fd, rel=1e-8)
 
 
 class TestElementwise:
-    """dispersion and fermi_factor map arrays elementwise and scalars to floats."""
+    """dispersion and _fermi map arrays elementwise; dispersion maps scalars to floats."""
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 20.0, math.inf])
     def test_arrays_match_scalars(self, beta):
         omega = np.array([0.0, 1e-300, 1e-3, 0.5, 1.0, 7.0, 800.0])
-        got = fermi_factor(beta, omega)
-        assert got.shape == omega.shape
-        assert got.tolist() == [fermi_factor(beta, w) for w in omega.tolist()]
         if math.isfinite(beta):
+            # _fermi takes finite beta only; the ground state never reaches it
+            got = _fermi(beta, omega)
+            assert got.shape == omega.shape
+            assert got.tolist() == [_fermi(beta, np.array([w]))[0] for w in omega.tolist()]
             closed = [math.exp(-beta * w) / (1.0 + math.exp(-beta * w)) for w in omega.tolist()]
             assert got.tolist() == pytest.approx(closed, rel=1e-15, abs=0.0)
         energies = dispersion(omega, 0.7)
@@ -145,23 +140,15 @@ class TestElementwise:
         assert energies.tolist() == [dispersion(p, 0.7) for p in omega.tolist()]
         assert energies.tolist() == pytest.approx([math.hypot(p, 0.7) for p in omega], rel=1e-15)
 
-    def test_ground_state_array(self):
-        got = fermi_factor(math.inf, np.array([0.0, 1e-300, 2.0]))
-        assert got.tolist() == [0.5, 0.0, 0.0]
-
     def test_scalars_give_floats(self):
-        assert type(fermi_factor(1.0, 1.0)) is float
-        assert type(fermi_factor(math.inf, 0.0)) is float
         assert type(dispersion(4.0, 3.0)) is float
 
     def test_overflowing_product_gives_zero(self):
-        # beta * omega past the largest float is inf, and e^{-inf} = 0
-        assert fermi_factor(1e300, 1e10) == 0.0
-        assert fermi_factor(1e300, np.array([0.0, 1e10])).tolist() == [0.5, 0.0]
+        # beta * omega past the largest float is capped at 746, and e^{-746} = 0
+        assert _fermi(1e300, 1e10) == 0.0
+        assert _fermi(1e300, np.array([0.0, 1e10])).tolist() == [0.5, 0.0]
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError):
-            fermi_factor(1.0, np.array([1.0, -1e-12]))
         with pytest.raises(ValueError):
             dispersion(np.array([1.0, -1.0]), 1.0)
 
