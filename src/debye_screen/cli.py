@@ -416,7 +416,11 @@ def run_screening(config: RunConfig) -> Artifacts:
 
     r_grid = list(np.geomspace(g.r_min, g.r_max, g.r_count))
     prof = screening_profile(config.source, p, config.kernel.mode, r_grid, tol)
-    m_d_sq = debye_mass_sq(p, min(tol, 1e-8)).m_d_sq
+    # the reference m_D^2 comes from a route that debye_mass_sq, which the
+    # profile was built on, does not take: a defect in one route shows
+    other_route = (debye_mass_sq_series if p.mass > 0.0 and p.beta * p.mass < 0.5
+                   else debye_mass_sq_integral)
+    m_d_sq = other_route(p, min(tol, 1e-8)).m_d_sq
     q = config.source.charge_q
 
     art.csv_header = ("r", "potential", "yukawa_reference", "relative_gap")

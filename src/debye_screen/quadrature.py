@@ -5,10 +5,10 @@ Four workhorses:
 * adaptive semi-infinite integrals whose last Gauss-Kronrod panel
   is mapped onto [c, inf), so the tail is inside the error estimate,
   one at a time or many in lockstep,
-* 2D radial-angular momentum integrals, one adaptive angular integral
-  per radial shell, with removable-singularity handling delegated to
-  the caller's kernel (the polarization kernel no longer runs on it; the
-  tests use it as that kernel's 2D reference),
+* 2D radial-angular momentum integrals, each radial round running the
+  angular integrals of all its shells in lockstep, with removable-singularity
+  handling delegated to the caller's kernel (the polarization kernel no
+  longer runs on it; the tests use it as that kernel's 2D reference),
 * oscillatory radial sine transforms, partitioned at the trig zeros
   into lobes on the same Gauss-Kronrod rule and accelerated by repeated
   averaging of the alternating partial sums (Euler transformation),
@@ -23,14 +23,15 @@ a value whose error is its rounding floor (see _osc_integral).
 
 Every integrand takes numpy arrays: a Gauss-Kronrod integrand, the
 oscillatory ones included, gets a 1-D array of abscissae, 21 per panel,
-and a radial-angular kernel a float p with a 1-D array of angles t, its
-values broadcast to the shape of t. integrate_semi_infinite_batch runs
-K semi-infinite integrals in lockstep, each on the one QAG loop
-(_qag_one): its integrand f(x, k) gets the abscissae of all the
-integrals still running, and in k the index of the integral each
-abscissa belongs to. Each panel's sums are reduced on its own row, so
-an integral gives the same bits in a batch as alone;
-integrate_semi_infinite is the K = 1 case. The Monte Carlo
+and a radial-angular kernel two 1-D arrays of the same shape, shell
+momenta p and angles t, read elementwise. _qag runs K integrals in
+lockstep, each on the one QAG loop (_qag_one): its integrand f(x, k)
+gets the abscissae of all the integrals still running, and in k the
+index of the integral each abscissa belongs to. Each panel's sums are
+reduced on its own row, so an integral gives the same bits in a batch
+as alone. integrate_semi_infinite_batch is its semi-infinite front,
+integrate_semi_infinite the K = 1 case, and integrate_radial_angular
+runs a batch of angular integrals in each radial round. The Monte Carlo
 integrand maps two (n, 3) blocks of points to n values, or to a (k, n)
 array of k integrands estimated on one draw. There is no scalar
 fallback, so a float-only integrand raises, and a non-finite value
@@ -282,11 +283,13 @@ def _qag(f, edges, scales, epsabs, epsrel, limit):
     """K adaptive Gauss-Kronrod integrals in lockstep, one _qag_one each.
 
     Integral j runs over ``edges[j]`` = [a, *breakpoints, b] with tail
-    scale ``scales[j]``. Each round collects the panels that every
-    integral still running asks for, its first panels or the two halves
-    of one bisection, and evaluates them in one _gk21 call, so f is
-    called once a round: f(x, k) gets the 1-D array of abscissae and the
-    index k of the integral each belongs to, and maps them elementwise.
+    scale ``scales[j]`` (read only when b = inf) to its own absolute
+    target ``epsabs[j]`` or the shared relative ``epsrel``. Each round
+    collects the panels that every integral still running asks for, its
+    first panels or the two halves of one bisection, and evaluates them
+    in one _gk21 call, so f is called once a round: f(x, k) gets the 1-D
+    array of abscissae and the index k of the integral each belongs to,
+    and maps them elementwise.
     _gk21 reduces each panel on its own, so every integral takes the
     bisections and gives the bits it would give alone.
 
@@ -296,7 +299,7 @@ def _qag(f, edges, scales, epsabs, epsrel, limit):
     (the round is evaluated again without it).
     """
     out = [None] * len(edges)
-    runs = [_qag_one(e, s, epsabs, epsrel, limit) for e, s in zip(edges, scales)]
+    runs = [_qag_one(e, s, a, epsrel, limit) for e, s, a in zip(edges, scales, epsabs)]
     asks = [(j, *next(run)) for j, run in enumerate(runs)]
     owners = idx = None
     while asks:
@@ -330,19 +333,6 @@ def _qag(f, edges, scales, epsabs, epsrel, limit):
     return out
 
 
-def _quad(f, a, b, epsabs=1.49e-8, epsrel=1.49e-8, limit=50, points=None, scale=1.0):
-    """One adaptive Gauss-Kronrod integral of f over [a, b], split first
-    at ``points``; b may be inf. The K = 1 case of _qag, with f mapping
-    the abscissae alone: returns (value, error, evaluations), and raises
-    the IntegrandError of a non-finite value.
-    """
-    edges = [a, *sorted(p for p in (points or ()) if a < p < b), b]
-    res = _qag(lambda x, _: f(x), [edges], [scale], epsabs, epsrel, limit)[0]
-    if isinstance(res, IntegrandError):
-        raise res
-    return res
-
-
 def integrate_semi_infinite_batch(f, decay_scales, tol: float, *, points=None) -> list:
     """K integrals over [0, inf), each to relative tolerance ``tol``, in lockstep.
 
@@ -351,11 +341,10 @@ def integrate_semi_infinite_batch(f, decay_scales, tol: float, *, points=None) -
     abscissa belongs to, to their values; it is called once for the
     first panels and once per bisection round (see _qag). Integral j has
     first tail length scale ``decay_scales[j]`` and breakpoints
-    ``points[j]`` (``points`` None, or an entry None, for none), and is
-    the integral integrate_semi_infinite(lambda x: f(x, j), ...) computes,
-    to the bit. Returns one entry per integral: its QuadratureResult, or
-    the ConvergenceError or IntegrandError it ended with, which stops no
-    other integral.
+    ``points[j]`` (``points`` None, or an entry None, for none), and gives
+    the bits it gives as the only integral of a batch. Returns one entry
+    per integral: its QuadratureResult, or the ConvergenceError or
+    IntegrandError it ended with, which stops no other integral.
     """
     if not all(s > 0.0 for s in decay_scales):
         raise ValueError(f"decay scales must be > 0, got {list(decay_scales)}")
@@ -364,7 +353,7 @@ def integrate_semi_infinite_batch(f, decay_scales, tol: float, *, points=None) -
     edges = [[0.0, *sorted(p for p in pts if 0.0 < p < math.inf), math.inf]
              if pts else (0.0, math.inf) for pts in points or [None] * len(decay_scales)]
     out = []
-    for res in _qag(f, edges, decay_scales, 0.0, max(1e-12, 0.25 * tol), 500):
+    for res in _qag(f, edges, decay_scales, [0.0] * len(edges), max(1e-12, 0.25 * tol), 500):
         if not isinstance(res, IntegrandError):
             val, err, n = res
             res = (QuadratureResult(value=val, error_estimate=err, evaluations=n)
@@ -374,23 +363,20 @@ def integrate_semi_infinite_batch(f, decay_scales, tol: float, *, points=None) -
     return out
 
 
-def integrate_semi_infinite(f, decay_scale: float, tol: float, *,
-                            points=None) -> QuadratureResult:
+def integrate_semi_infinite(f, decay_scale: float, tol: float) -> QuadratureResult:
     """Integrate f over [0, inf) to relative tolerance ``tol``.
 
     f maps a 1-D numpy array of abscissae to their values, 21 for each
-    Gauss-Kronrod panel; it is called once for the first panels and once
+    Gauss-Kronrod panel; it is called once for the first panel and once
     per bisection, and ``evaluations`` counts the abscissae.
-    One adaptive Gauss-Kronrod integral: finite panels between the
-    ``points``, then one mapped panel reaching to infinity whose first
-    length scale is ``decay_scale``. The tail is part of the adaptive
-    error estimate, so no decay law is assumed. Convergence means
-    err <= tol * |value|, the right notion for integrals whose scale is
-    not known a priori; a miss raises ConvergenceError with the value and
-    error reached. The K = 1 case of integrate_semi_infinite_batch.
+    One adaptive Gauss-Kronrod integral, its last panel mapped onto
+    [c, inf) with first length scale ``decay_scale``. The tail is part of
+    the adaptive error estimate, so no decay law is assumed. Convergence
+    means err <= tol * |value|, the right notion for integrals whose scale
+    is not known a priori; a miss raises ConvergenceError with the value
+    and error reached. The K = 1 case of integrate_semi_infinite_batch.
     """
-    res = integrate_semi_infinite_batch(lambda x, _: f(x), [decay_scale], tol,
-                                        points=[points])[0]
+    res = integrate_semi_infinite_batch(lambda x, _: f(x), [decay_scale], tol)[0]
     if isinstance(res, Exception):
         raise res
     return res
@@ -405,14 +391,15 @@ def integrate_radial_angular(
 ) -> QuadratureResult:
     """2pi * int_0^inf dp p^2 int_{-1}^{1} dt kernel(p, t), to absolute tol.
 
-    ``kernel`` must accept numpy arrays: it is called with a float shell
-    momentum p and a 1-D array of angular abscissae t, and its values are
-    broadcast to the shape of t. Each shell's angular integral runs on
-    the adaptive Gauss-Kronrod rule to an absolute target 1e-4 tol /
-    max(p^2, 1), one kernel call per refinement step, and the radial
-    integral runs one such integral at each shell momentum it gets; its
-    last panel is mapped onto [c, inf) with first length scale
-    ``decay_scale``. The azimuthal 2pi is applied internally.
+    ``kernel`` must accept numpy arrays: it is called with two 1-D arrays
+    of the same shape, shell momenta p and angular abscissae t, and maps
+    them elementwise. The radial integral is one adaptive Gauss-Kronrod
+    integral whose last panel is mapped onto [c, inf) with first length
+    scale ``decay_scale``. Each of its rounds runs the angular integrals
+    at all its shell momenta in one lockstep _qag call, each to its own
+    absolute target 1e-4 tol / max(p^2, 1), so the kernel is called once
+    per angular round and a shell gives the bits it would give alone.
+    The azimuthal 2pi is applied internally.
     ``inner_points``, if given, maps a float p to a list of interior
     t-breakpoints (e.g. the removable coincidence point of a
     difference-quotient kernel) that the angular panels should honor.
@@ -425,21 +412,26 @@ def integrate_radial_angular(
         raise ValueError(f"tol must be > 0, got {tol}")
     inner_evals = 0
 
-    def shell(p):
+    def shells(p, _):
+        # the angular integrals at this round's shell momenta p, in one batch
         nonlocal inner_evals
-        try:
-            val, _, n = _quad(functools.partial(kernel, p), -1.0, 1.0,
-                              epsabs=1e-4 * tol / max(p * p, 1.0), epsrel=1e-10, limit=200,
-                              points=inner_points(p) if inner_points else None)
-        except IntegrandError as exc:
-            at = (p, exc.abscissa)
-            raise IntegrandError(f"kernel not finite at (p, t) = {at}", abscissa=at) from exc
-        inner_evals += n
-        return p * p * val
+        ps = p.tolist()
+        edges = [[-1.0, *sorted(t for t in inner_points(q) if -1.0 < t < 1.0), 1.0]
+                 if inner_points else (-1.0, 1.0) for q in ps]
+        out = _qag(lambda t, k: kernel(p[k], t), edges, [1.0] * len(ps),
+                   [1e-4 * tol / max(q * q, 1.0) for q in ps], 1e-10, 200)
+        for q, res in zip(ps, out):
+            if isinstance(res, IntegrandError):
+                at = (q, res.abscissa)
+                raise IntegrandError(f"kernel not finite at (p, t) = {at}", abscissa=at) from res
+            inner_evals += res[2]
+        return [q * q * res[0] for q, res in zip(ps, out)]
 
-    val, err, _ = _quad(lambda ps: [shell(p) for p in ps.tolist()], 0.0, math.inf,
-                        epsabs=0.25 * (tol / (2.0 * math.pi) * 0.5), epsrel=1e-12,
-                        limit=500, scale=decay_scale)
+    res = _qag(shells, [(0.0, math.inf)], [decay_scale],
+               [0.25 * (tol / (2.0 * math.pi) * 0.5)], 1e-12, 500)[0]
+    if isinstance(res, IntegrandError):
+        raise res
+    val, err, _ = res
     val, err = 2.0 * math.pi * val, 2.0 * math.pi * err + 0.01 * tol
     if not err <= tol:
         raise _missed(f"radial-angular integral missed absolute tol {tol:.1e}", val, err)

@@ -16,7 +16,12 @@ from debye_screen.quadrature import (
     sine_transform_radial,
 )
 from debye_screen.quadrature import TestProfile as GaussianTestProfile
-from debye_screen.quadrature import _quad
+from debye_screen.quadrature import _qag
+
+
+def _one(f, edges, epsabs, epsrel, limit=50, scale=1.0):
+    """One _qag integral of f(x) over the panels between ``edges``: (value, error, evaluations)."""
+    return _qag(lambda x, _: f(x), [edges], [scale], [epsabs], epsrel, limit)[0]
 
 
 class TestSemiInfinite:
@@ -91,7 +96,7 @@ class TestSemiInfinite:
 
     @pytest.mark.parametrize("call", [
         lambda f: integrate_semi_infinite(f, 1.0, 1e-8),
-        lambda f: _quad(f, 0.0, 1.0),
+        lambda f: _one(f, (0.0, 1.0), 1.49e-8, 1.49e-8),
     ], ids=["semi_infinite", "finite"])
     def test_scalar_integrand_raises(self, call):
         # integrands get their abscissae as an array; there is no scalar
@@ -122,9 +127,9 @@ class TestSemiInfiniteBatch:
                                               1e-10, points=[[1.0], None, [0.2, 3.0], None])
         for res, rate, scale, pts in zip(batch, self.RATES, [1.0, 0.5, 2.0, 1.0],
                                          [[1.0], None, [0.2, 3.0], None]):
-            alone = integrate_semi_infinite(lambda x: self.integrand([rate])(x, 0), scale, 1e-10,
-                                            points=pts)
-            assert res == alone
+            alone = integrate_semi_infinite_batch(self.integrand([rate]), [scale], 1e-10,
+                                                  points=[pts])
+            assert [res] == alone
 
     def test_one_call_a_round_with_the_owner_of_each_abscissa(self):
         calls = []
@@ -173,7 +178,7 @@ class TestGaussKronrod:
             return np.exp(-abs(x - 0.3)) * np.cos(3.0 * x) + (x > 1.1)
 
         ref = quad(f, -1.0, 2.0, points=[0.3, 1.1], epsabs=0.0, epsrel=1e-13, limit=200)[0]
-        val, err, _ = _quad(f, -1.0, 2.0, epsabs=0.0, epsrel=1e-12, limit=200, points=[1.1, 0.3])
+        val, err, _ = _one(f, [-1.0, 0.3, 1.1, 2.0], epsabs=0.0, epsrel=1e-12, limit=200)
         assert err <= 1e-12 * abs(val)
         assert val == pytest.approx(ref, rel=1e-12)
 
@@ -185,7 +190,7 @@ class TestGaussKronrod:
             return s * s * (1.0 + s) ** -3 * (1.0 + 0.5 * s) ** -1.5
 
         ref = quad(f, a, np.inf, epsabs=0.0, epsrel=1e-12)[0]
-        val, err, _ = _quad(f, a, math.inf, epsabs=0.0, epsrel=1e-10)
+        val, err, _ = _one(f, (a, math.inf), epsabs=0.0, epsrel=1e-10)
         assert err <= 1e-10 * abs(val)
         assert val == pytest.approx(ref, rel=1e-10)
 
@@ -193,12 +198,28 @@ class TestGaussKronrod:
         # sqrt has an endpoint singularity in its derivative, so three
         # panels cannot reach 1e-14; the error must say so and still bound
         # the true error, and more panels must then get there
-        val, err, _ = _quad(np.sqrt, 0.0, 1.0, epsabs=1e-14, epsrel=0.0, limit=3)
+        val, err, _ = _one(np.sqrt, (0.0, 1.0), epsabs=1e-14, epsrel=0.0, limit=3)
         assert err > 1e-14
         assert abs(val - 2.0 / 3.0) <= err
-        val, err, _ = _quad(np.sqrt, 0.0, 1.0, epsabs=1e-10, epsrel=0.0, limit=200)
+        val, err, _ = _one(np.sqrt, (0.0, 1.0), epsabs=1e-10, epsrel=0.0, limit=200)
         assert err <= 1e-10
         assert abs(val - 2.0 / 3.0) <= 1e-10
+
+    def test_each_integral_keeps_its_own_absolute_target(self):
+        # K finite integrals in one lockstep call, each to its own epsabs,
+        # give the bits of their K = 1 calls
+        edges = [(0.0, 1.0), (-1.0, 0.2, 2.0), (0.0, 3.0), (0.5, 4.0)]
+        epsabs = [1e-6, 1e-13, 1e-9, 1e-11]
+        freqs = np.array([3.0, 5.0, 9.0, 2.0])
+
+        def f(x, k):
+            return np.sqrt(np.abs(x)) * np.cos(freqs[k] * x)
+
+        batch = _qag(f, edges, [1.0] * 4, epsabs, 0.0, 200)
+        for j, (res, e, target) in enumerate(zip(batch, edges, epsabs)):
+            assert res == _one(lambda x: f(x, j), e, target, 0.0, 200)
+            assert res[1] <= target
+        assert len({res[2] for res in batch}) > 1
 
 
 class TestRadialAngular:
@@ -223,6 +244,32 @@ class TestRadialAngular:
 
         res = integrate_radial_angular(kernel, 1e-9, inner_points=lambda p: (-0.4, 0.3))
         assert res.evaluations == sum(seen) > 0
+
+    def test_one_kernel_call_per_angular_round(self):
+        # every shell of a radial round shares each angular round's call,
+        # with the value and evaluations of one angular integral per shell
+        calls, shells = 0, set()
+
+        def kernel(p, t):
+            nonlocal calls
+            calls += 1
+            shells.update(np.ravel(p).tolist())
+            return np.exp(-p * p) * (1.0 + t * t)
+
+        res = integrate_radial_angular(kernel, 1e-9, inner_points=lambda p: (-0.4, 0.3))
+        assert calls < len(shells)
+        assert repr(res.value) == "7.424437329108944"
+        assert res.evaluations == 11907
+
+    def test_overflowing_shell_names_the_radial_abscissa(self):
+        # each angular integral of 1e308 overflows to inf: the radial panel
+        # is not finite, and its IntegrandError is raised as it is
+        def kernel(p, t):
+            return np.full(np.broadcast(p, t).shape, 1e308) * np.exp(-p)
+
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrandError) as exc:
+            integrate_radial_angular(kernel, 1e-9)
+        assert isinstance(exc.value.abscissa, float) and exc.value.abscissa > 0.0
 
     def test_nonfinite_kernel_names_the_abscissa(self):
         def kernel(p, t):
