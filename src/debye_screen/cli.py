@@ -408,6 +408,14 @@ def _profile_rate_fit(profile, charge_q, r_lo=0.0):
     return -fit.slope, fit
 
 
+def _other_route_m_d_sq(p: ThermalParams, tol: float) -> float:
+    """m_D^2 from the Debye route that debye_mass_sq does not take at p (the integral
+    for its closed form or series, the series for its integral): a defect in one shows."""
+    route = (debye_mass_sq_series if p.mass > 0.0 and p.beta * p.mass < 0.5
+             else debye_mass_sq_integral)
+    return route(p, min(tol, 1e-8)).m_d_sq
+
+
 def run_screening(config: RunConfig) -> Artifacts:
     p = config.params
     g = config.grids
@@ -416,11 +424,7 @@ def run_screening(config: RunConfig) -> Artifacts:
 
     r_grid = list(np.geomspace(g.r_min, g.r_max, g.r_count))
     prof = screening_profile(config.source, p, config.kernel.mode, r_grid, tol)
-    # the reference m_D^2 comes from a route that debye_mass_sq, which the
-    # profile was built on, does not take: a defect in one route shows
-    other_route = (debye_mass_sq_series if p.mass > 0.0 and p.beta * p.mass < 0.5
-                   else debye_mass_sq_integral)
-    m_d_sq = other_route(p, min(tol, 1e-8)).m_d_sq
+    m_d_sq = _other_route_m_d_sq(p, tol)
     q = config.source.charge_q
 
     art.csv_header = ("r", "potential", "yukawa_reference", "relative_gap")
@@ -607,6 +611,11 @@ def run_limits(config: RunConfig) -> Artifacts:
                              rep.final_gap[j]))
     art.checks.append(_check("delta_family_converged",
                              all(rep.converged), True, 0.0))
+    # the family's Yukawa reference comes from debye_mass_sq, like its profiles
+    other = _other_route_m_d_sq(pp, tol)
+    gap = max(abs(ref - yukawa_reference(1.0, pp.lam, other, r)) / ref
+              for r, ref in zip(rep.r_probe, rep.yukawa))
+    art.checks.append(_check("delta_reference_vs_other_route", gap, 0.0, 1e-6))
 
     art.results = {
         "massless_limit_gaps": gaps,

@@ -94,12 +94,10 @@ def _check_channel(channel: str) -> None:
         raise ValueError(f"channel must be one of {_CHANNELS}, got {channel!r}")
 
 
-def _check_node(channel: str, p_tilde_mag: float, tol: float) -> None:
+def _check_node(channel: str, p_tilde_mag: float) -> None:
     _check_channel(channel)
     if p_tilde_mag < 0.0:
         raise ValueError(f"momentum magnitude must be >= 0, got {p_tilde_mag}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol}")
 
 
 def _value(result):
@@ -136,6 +134,8 @@ def _f_hat_nodes(channel: str, pts: list, params: ThermalParams, tol: float) -> 
     Returns one entry per momentum: the value, or the ConvergenceError or
     IntegrandError its integral ended with.
     """
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be > 0, got {tol}")
     if params.is_ground:
         return [0.0] * len(pts)
     temporal = channel == "temporal"
@@ -205,7 +205,7 @@ def _f_hat_nodes(channel: str, pts: list, params: ThermalParams, tol: float) -> 
 def _f_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float) -> float:
     """Thermal kernel of either channel at one momentum (see _f_hat_nodes);
     raises ConvergenceError when its integral misses tol relative."""
-    _check_node(channel, p_tilde_mag, tol)
+    _check_node(channel, p_tilde_mag)
     return _value(_f_hat_nodes(channel, [p_tilde_mag], params, tol)[0])
 
 
@@ -219,68 +219,58 @@ def f_hat_spatial(p_tilde_mag: float, params: ThermalParams, tol: float = 1e-8) 
     return _f_hat("spatial", p_tilde_mag, params, tol)
 
 
-def _b_hat_nodes(channel: str, pts: list, params: ThermalParams, tol: float) -> list:
-    """b_hat at each momentum of ``pts``, the spatial spectral integrals in
-    one lockstep batch; one entry per momentum, the value or the error
-    that node raised."""
-    out = [params.charge_e ** 2 * params.a1 * pt * pt if pt != 0.0 else 0.0 for pt in pts]
-    if channel == "temporal":
-        return out
-    live = [i for i, pt in enumerate(pts) if pt != 0.0]
-    m = params.mass
-    if m == 0.0:
-        for i in live:
-            out[i] = InfraredDivergenceError(
-                "massless spatial vacuum kernel: the spectral integral diverges "
-                "logarithmically at the lower endpoint; refusing to guess a cutoff")
-        return out
-    pt2 = np.array([pts[i] * pts[i] for i in live])
-
-    def integrand(u, j):
-        # beyond u = 100 the integrand ~ e^{-2u} is dead and sinh would overflow
-        v = np.minimum(u, 100.0)
-        sh, ch = np.sinh(v), np.cosh(v)
-        th = sh / ch
-        # sqrt(s) = 2m cosh u cancels the powers of m, and dividing by pt^2 + s
-        # on its own keeps 4 cosh^2 u (pt^2 + s) from overflowing at heavy masses
-        val = th * th * (1.5 + sh * sh) / (4.0 * ch * ch) / (pt2[j] + 4.0 * m * m * ch * ch)
-        return np.where(u <= 100.0, val, 0.0)
-
-    results = integrate_semi_infinite_batch(integrand, [0.5] * len(live), tol) if live else []
-    for i, res in zip(live, results):
-        if isinstance(res, Exception):
-            out[i] = res
-        else:
-            p2 = pts[i] * pts[i]
-            pref = 16.0 * params.charge_e ** 2 * p2 * p2 / (3.0 * (2.0 * math.pi) ** 5)
-            out[i] += pref * res.value
-    return out
+def _h(x: float, r: float) -> float:
+    """int_0^1 t^2 (3 - t^2)/(1 - x t^2) dt for 0 <= x < 1, with r = sqrt(1 - x):
+    below x = 1/2, where the closed form cancels, the series sum_{k>=1}
+    (3/(2k+1) - 1/(2k+3)) x^(k-1); above, [1/x - 8/3 - (1 - 3x) l/(2x sqrt x)]/x
+    with l = ln((1 + sqrt x)/(1 - sqrt x)) = 2 log1p(sqrt x) - 2 ln r, exact as x -> 1."""
+    if x < 0.5:
+        h = 0.0
+        for k in range(56, 0, -1):   # the tail past x^55 is below 1e-17 of h
+            h = h * x + (3.0 / (2 * k + 1) - 1.0 / (2 * k + 3))
+        return h
+    s = math.sqrt(x)
+    ell = 2.0 * (math.log1p(s) - math.log(r))
+    return (1.0 / x - 8.0 / 3.0 - (1.0 - 3.0 * x) / (2.0 * x * s) * ell) / x
 
 
-def b_hat(channel: str, p_tilde_mag: float, params: ThermalParams, tol: float = 1e-10) -> float:
+def b_hat(channel: str, p_tilde_mag: float, params: ThermalParams) -> float:
     """Vacuum piece: e^2 a1 |pt|^2, plus the Kallen-Lehmann integral for
-    the spatial channel.
+    the spatial channel, in closed form.
 
-    The spectral integral runs over invariant mass squared from the pair
-    threshold (2m)^2; the substitution s = 4m^2 (cosh u)^2 removes the
-    square-root edge and turns the 1/(4 v^3) tail exponential in u.
-    tol is relative to the spectral integral, met in one integral.
+    The spectral integral over invariant mass squared s from the pair
+    threshold (2m)^2 is, in t = tanh u with s = 4m^2 cosh^2 u,
+    (1/8) int_0^1 t^2 (3 - t^2)/(d - pt^2 t^2) dt = h(x)/(8d), where
+    d = pt^2 + 4m^2 and x = pt^2/d (see _h); with its prefactor
+    16 e^2 pt^4/(3 (2 pi)^5) that is e^2 pt^2 x h(x)/(48 pi^5). It diverges at m = 0.
     """
-    _check_node(channel, p_tilde_mag, tol)
-    return _value(_b_hat_nodes(channel, [p_tilde_mag], params, tol)[0])
+    _check_node(channel, p_tilde_mag)
+    pt, m, e2 = p_tilde_mag, params.mass, params.charge_e ** 2
+    if pt == 0.0:
+        return 0.0
+    contact = e2 * params.a1 * pt * pt
+    if channel == "temporal":
+        return contact
+    if m == 0.0:
+        raise InfraredDivergenceError(
+            "massless spatial vacuum kernel: the spectral integral diverges "
+            "logarithmically at the lower endpoint; refusing to guess a cutoff")
+    root_d = math.hypot(pt, 2.0 * m)
+    x = (pt / root_d) ** 2
+    return contact + e2 * pt * pt * x * _h(x, 2.0 * m / root_d) / (48.0 * math.pi ** 5)
 
 
 def scan_kernel(channel: str, p_grid, params: ThermalParams, tol: float = 1e-8) -> KernelScan:
     """Evaluate both kernels and the denominator over a momentum grid.
 
-    tol is relative for each kernel value. All f_hat nodes run as one
-    lockstep integral batch and all spatial b_hat nodes as another, and
+    tol is relative for each f_hat value. All f_hat nodes run as one
+    lockstep integral batch, b_hat is the closed form at each node, and
     each point is the one that the single-node calls f_hat_temporal or
     f_hat_spatial and b_hat give for its momentum, to the bit. A node
     whose f_hat or b_hat fails (a missed tolerance, a non-finite
     integrand, a divergent vacuum piece) aborts the scan with a ScanError
-    that names the first failed |pt| in grid order, has that node's
-    error as its cause, and carries the points before it as diagnostic.
+    that names the first failed |pt| in grid order, has that node's error
+    (f_hat's if both fail) as its cause, and carries the points before it.
     """
     _check_channel(channel)
     grid = [float(p) for p in p_grid]
@@ -288,17 +278,15 @@ def scan_kernel(channel: str, p_grid, params: ThermalParams, tol: float = 1e-8) 
         raise ValueError("momentum grid must be nonnegative")
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError("momentum grid must be strictly increasing")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol}")
 
     points = []
-    fhs = _f_hat_nodes(channel, grid, params, tol)
-    bhs = _b_hat_nodes(channel, grid, params, tol)
-    for pt, fh, bh in zip(grid, fhs, bhs):
-        failed = next((r for r in (fh, bh) if isinstance(r, Exception)), None)
-        if failed is not None:
-            raise ScanError(f"kernel scan aborted at |pt| = {pt}: {failed}",
-                            partial=tuple(points)) from failed
+    for pt, fh in zip(grid, _f_hat_nodes(channel, grid, params, tol)):
+        try:
+            fh = _value(fh)
+            bh = b_hat(channel, pt, params)
+        except DebyeScreenError as exc:
+            raise ScanError(f"kernel scan aborted at |pt| = {pt}: {exc}",
+                            partial=tuple(points)) from exc
         points.append(ScanPoint(pt, fh, bh, pt * pt - params.lam * (fh + bh)))
     return KernelScan(channel=channel, points=tuple(points), params_snapshot=params,
                       metadata={"tol": tol})

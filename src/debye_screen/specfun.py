@@ -38,11 +38,11 @@ class ThermalParams:
         Inverse temperature in natural units; ``math.inf`` is the
         ground-state sentinel.
     mass : float
-        Fermion mass, >= 0.
+        Fermion mass, finite and >= 0.
     charge_e : float
-        Electric charge, > 0.
+        Electric charge, finite and > 0.
     lam : float
-        Formal coupling multiplying the induced-current response, >= 0.
+        Formal coupling multiplying the induced-current response, finite and >= 0.
     a1 : float
         Renormalization constant (dimensionless), free sign.
     """
@@ -56,12 +56,12 @@ class ThermalParams:
     def __post_init__(self):
         if not (self.beta > 0.0):  # also rejects NaN
             raise ValueError(f"beta must be > 0 or +inf, got {self.beta}")
-        if not (self.mass >= 0.0):
-            raise ValueError(f"mass must be >= 0, got {self.mass}")
-        if not (self.charge_e > 0.0):
-            raise ValueError(f"charge_e must be > 0, got {self.charge_e}")
-        if not (self.lam >= 0.0):
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not (0.0 <= self.mass < math.inf):
+            raise ValueError(f"mass must be finite and >= 0, got {self.mass}")
+        if not (0.0 < self.charge_e < math.inf):
+            raise ValueError(f"charge_e must be finite and > 0, got {self.charge_e}")
+        if not (0.0 <= self.lam < math.inf):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not math.isfinite(self.a1):
             raise ValueError(f"a1 must be finite, got {self.a1}")
 

@@ -57,8 +57,7 @@ CASES = [
         "the kernel at the first separation, real axis against the shifted line")),
     pytest.param("debye_mass_sq x1.05", "screening", ("screening_rate", "profile_vs_smeared_yukawa"),
                  id="debye_mass_sq x1.05-screening-screening_rate,profile_vs_smeared_yukawa"),
-    pytest.param("debye_mass_sq x1.05", "limits", None, marks=_missing(
-        "the delta family's limit against a closed form built on another Debye route")),
+    pytest.param("debye_mass_sq x1.05", "limits", "delta_reference_vs_other_route"),
 ]
 
 

@@ -339,6 +339,16 @@ class TestMainInProcess:
         assert cli.main([name, "--config", str(p), "--quiet"]) == 2
         assert f"key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, key", [("debye", "params.mass"),
+                                           ("screening", "params.charge_e"),
+                                           ("polarization", "params.lam")])
+    def test_non_finite_param_is_config_error(self, name, key, tmp_path, capsys):
+        # mass = inf ran to two zero routes, charge_e = inf to a tol error
+        p = tmp_path / "c.cfg"
+        p.write_text(f"subcommand={name}\n{key}=inf\n")
+        assert cli.main([name, "--config", str(p), "--quiet"]) == 2
+        assert key.partition(".")[2] in capsys.readouterr().err
+
     def test_ground_state_decay_derives_its_regime(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("subcommand=decay\nparams.beta=inf\nkernel.mc_samples=100000\n")

@@ -170,14 +170,15 @@ def f_hat_scipy(channel, pt, params):
 
 def b_hat_spectral_oracle(pt, m):
     """Spatial vacuum piece as the threshold-form integral over invariant
-    mass squared, by QUADPACK (e = 1, a1 = 0)."""
-    m2, pt2 = m * m, pt * pt
+    mass squared, by QUADPACK (e = 1, a1 = 0). The integral runs over
+    s / m^2 from 4, so that QUADPACK sees the same scales at every mass."""
+    q2 = (pt / m) ** 2
     pref = 16.0 * pt ** 4 / (3.0 * (2.0 * math.pi) ** 5)
     raw = _scipy_quad(
-        lambda s: math.sqrt(s - 4 * m2) * (0.5 * m2 + 0.25 * s) / (s ** 2.5 * (pt2 + s)),
-        4 * m2, math.inf, limit=400, epsabs=0.0, epsrel=1e-13,
+        lambda s: math.sqrt(s - 4.0) * (0.5 + 0.25 * s) / (s ** 2.5 * (q2 + s)),
+        4.0, math.inf, limit=400, epsabs=0.0, epsrel=1e-13,
     )[0]
-    return 0.5 * pref * raw
+    return 0.5 * pref * raw / (m * m)
 
 
 class TestRelativeTolerance:
@@ -199,7 +200,7 @@ class TestRelativeTolerance:
 
     def test_spatial_vacuum_piece_is_relative(self):
         # a target of tol / prefactor left this 1.4e-6 off
-        got = b_hat("spatial", 0.1, ThermalParams(beta=1.0, mass=0.3), 1e-8)
+        got = b_hat("spatial", 0.1, ThermalParams(beta=1.0, mass=0.3))
         want = b_hat_spectral_oracle(0.1, 0.3)
         assert abs(got - want) <= 1e-8 * want
 
@@ -330,24 +331,39 @@ class TestVacuumPiece:
     def test_temporal_contact_term(self):
         # e^2 a1 |pt|^2 and nothing else
         tp = ThermalParams(beta=1.0, mass=1.0, a1=0.5)
-        assert b_hat("temporal", 2.0, tp, 1e-10) == pytest.approx(2.0, rel=1e-14)
+        assert b_hat("temporal", 2.0, tp) == pytest.approx(2.0, rel=1e-14)
         tp2 = ThermalParams(beta=3.0, mass=0.2, a1=1.5, charge_e=2.0)
-        assert b_hat("temporal", 0.5, tp2, 1e-10) == pytest.approx(1.5, rel=1e-14)
+        assert b_hat("temporal", 0.5, tp2) == pytest.approx(1.5, rel=1e-14)
 
     def test_zero_momentum_vanishes_exactly(self):
         tp = ThermalParams(beta=1.0, mass=1.0, a1=0.7)
-        assert b_hat("temporal", 0.0, tp, 1e-10) == 0.0
-        assert b_hat("spatial", 0.0, tp, 1e-10) == 0.0
+        assert b_hat("temporal", 0.0, tp) == 0.0
+        assert b_hat("spatial", 0.0, tp) == 0.0
 
     @pytest.mark.parametrize("pt", [0.5, 2.0])
     def test_spatial_matches_spectral_oracle(self, pt):
         # threshold-form integral over invariant mass squared, independent
         # quadrature machinery
-        got = b_hat("spatial", pt, UNIT, 1e-12)
+        got = b_hat("spatial", pt, UNIT)
         assert got == pytest.approx(b_hat_spectral_oracle(pt, 1.0), rel=1e-10)
 
+    @pytest.mark.parametrize("mass", [1e-2, 0.3, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("ratio", [1e-3, 0.1, 1.0, 1.9, 2.1, 10.0, 1e4])
+    def test_closed_form_matches_spectral_oracle(self, mass, ratio):
+        # pt / m = 2 is x = 1/2, where the series hands over to the closed
+        # form; pt / m = 1e4 takes the log near x = 1
+        pt = ratio * mass
+        got = b_hat("spatial", pt, ThermalParams(beta=1.0, mass=mass))
+        assert abs(got / b_hat_spectral_oracle(pt, mass) - 1.0) <= 1e-12
+
+    def test_series_and_closed_form_meet_at_half(self):
+        below = math.nextafter(0.5, 0.0)
+        series = polarization._h(below, math.sqrt(1.0 - below))
+        closed = polarization._h(0.5, math.sqrt(0.5))
+        assert abs(closed - series) <= 4 * math.ulp(closed)
+
     def test_spatial_positive_and_growing(self):
-        vals = [b_hat("spatial", p, UNIT, 1e-12) for p in (0.5, 1.0, 2.0, 4.0)]
+        vals = [b_hat("spatial", p, UNIT) for p in (0.5, 1.0, 2.0, 4.0)]
         assert all(v > 0.0 for v in vals)
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
@@ -356,30 +372,20 @@ class TestVacuumPiece:
         # for m >> pt, 1/(pt^2 + s) -> 1/s and the integral in t = tanh u is
         # int_0^1 t^2 (1.5 - 0.5 t^2) dt = 0.4, so m^2 b_hat -> 0.4 pref / 16;
         # the form with s^2.5 overflowed here
-        got = b_hat("spatial", 1.0, ThermalParams(beta=1.0, mass=mass), 1e-10)
+        got = b_hat("spatial", 1.0, ThermalParams(beta=1.0, mass=mass))
         assert mass * mass * got == pytest.approx(0.4 / (3.0 * (2.0 * math.pi) ** 5), rel=1e-12)
-
-    def test_unconverged_integral_raises(self):
-        # 1e-20 is below the rounding level; the error carries the
-        # spectral integral's own value, without its prefactor
-        pref = 16.0 / (3.0 * (2.0 * math.pi) ** 5)   # at pt = e = 1, a1 = 0
-        with pytest.raises(ConvergenceError) as exc:
-            b_hat("spatial", 1.0, UNIT, 1e-20)
-        assert exc.value.estimate * pref == pytest.approx(
-            b_hat("spatial", 1.0, UNIT, 1e-12), rel=1e-11)
-        assert exc.value.error_estimate > 1e-20 * exc.value.estimate
 
     def test_massless_spatial_refused(self):
         with pytest.raises(InfraredDivergenceError):
-            b_hat("spatial", 1.0, ThermalParams(beta=1.0, mass=0.0), 1e-10)
+            b_hat("spatial", 1.0, ThermalParams(beta=1.0, mass=0.0))
 
     def test_survives_ground_state(self):
         # vacuum pieces carry no temperature dependence
         warm = ThermalParams(beta=1.0, mass=1.0, a1=0.7)
         cold = ThermalParams(beta=math.inf, mass=1.0, a1=0.7)
         for ch in ("temporal", "spatial"):
-            assert b_hat(ch, 1.5, cold, 1e-11) == pytest.approx(
-                b_hat(ch, 1.5, warm, 1e-11), rel=1e-12)
+            assert b_hat(ch, 1.5, cold) == pytest.approx(
+                b_hat(ch, 1.5, warm), rel=1e-12)
 
 
 class TestEffectiveDenominator:
@@ -412,7 +418,7 @@ class TestKernelScan:
         assert [p.p_tilde_mag for p in scan.points] == grid
         for pt in scan.points:
             assert pt.f_hat == f_hat_temporal(pt.p_tilde_mag, UNIT, 1e-8)
-            assert pt.b_hat == b_hat("temporal", pt.p_tilde_mag, UNIT, 1e-8)
+            assert pt.b_hat == b_hat("temporal", pt.p_tilde_mag, UNIT)
             assert pt.denominator == pytest.approx(
                 pt.p_tilde_mag ** 2 - UNIT.lam * (pt.f_hat + pt.b_hat), abs=1e-15)
         assert scan.metadata["tol"] == 1e-8
@@ -461,6 +467,20 @@ class TestKernelScan:
         assert [pt.p_tilde_mag for pt in exc.value.partial] == [0.25]
         assert exc.value.partial[0] == scan_kernel("temporal", [0.25], UNIT, 1e-8).points[0]
 
+    def test_f_hat_error_comes_first_where_both_fail(self, monkeypatch):
+        # the massless spatial vacuum piece diverges at every pt > 0; where
+        # the kernel also misses, the kernel's error is the cause
+        f_hat_nodes = polarization._f_hat_nodes
+
+        def missed_at_half(channel, pts, params, tol):
+            return [ConvergenceError("semi-infinite integral missed", 1.0, 0.5) if pt == 0.5 else v
+                    for pt, v in zip(pts, f_hat_nodes(channel, pts, params, tol))]
+
+        monkeypatch.setattr(polarization, "_f_hat_nodes", missed_at_half)
+        with pytest.raises(ScanError, match=r"aborted at \|pt\| = 0.5: semi-infinite") as exc:
+            scan_kernel("spatial", [0.0, 0.5], ThermalParams(beta=1.0, mass=0.0), 1e-8)
+        assert isinstance(exc.value.__cause__, ConvergenceError)
+
     def test_nan_integrand_names_its_node(self, monkeypatch):
         # the second node's integrand turns NaN: that integral alone ends,
         # so the scan names its node, and the first node, which shared
@@ -501,7 +521,7 @@ def test_scan_points_equal_single_node_calls(channel, beta, mass, gaps):
         return
     scan = scan_kernel(channel, grid, params, 1e-8)
     for point, (fh, pt) in zip(scan.points, single):
-        bh = b_hat(channel, pt, params, 1e-8)
+        bh = b_hat(channel, pt, params)
         assert point == (pt, fh, bh, pt * pt - params.lam * (fh + bh))
 
 

@@ -52,6 +52,13 @@ class TestThermalParams:
         with pytest.raises(ValueError):
             ThermalParams(beta=1.0, mass=1.0, lam=-1.0)
 
+    @pytest.mark.parametrize("field", ["mass", "charge_e", "lam"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_mass_charge_and_coupling(self, field, value):
+        # beta = inf is the ground state; these have no such reading
+        with pytest.raises(ValueError, match=field):
+            ThermalParams(**{"beta": 1.0, "mass": 1.0, field: value})
+
     def test_ground_state_sentinel(self):
         tp = ThermalParams(beta=math.inf, mass=1.0)
         assert tp.is_ground
