@@ -26,7 +26,7 @@ from debye_screen import (
 def fitted_rate(profile, q):
     pts = [(r, 4.0 * math.pi * r * v / q)
            for r, v in zip(profile.r_grid, profile.values) if v > 0.0]
-    return -fit_decay(pts, "log_linear").slope
+    return -fit_decay(pts).slope
 
 
 def main() -> int:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .debye import (
+    _route,
     debye_mass_sq,
     debye_mass_sq_integral,
     debye_mass_sq_massless,
@@ -80,6 +81,7 @@ class ConfigError(ValueError):
             parts.append(f"key {key!r}")
         prefix = " ".join(parts)
         super().__init__(f"{prefix}: {message}" if prefix else message)
+        self.message = message
         self.line = line
         self.key = key
 
@@ -245,7 +247,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse flat key=value config text into the subcommand's defaults.
 
     Accepted keys are subcommand, seed and the subcommand's manifest keys;
-    any other key, and a duplicate, fails with its line.
+    any other key, a duplicate and a rejected value fail with line and key.
     """
     entries = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -270,21 +272,32 @@ def parse_config(text: str) -> RunConfig:
     # each key its type
     base = default_config(subcommand)
     allowed = {"seed", *_section_keys(subcommand)}
-    changes = {section: {} for section, _ in _SECTIONS}
+    sections = {section: getattr(base, section) for section, _ in _SECTIONS}
     top = {}
     for key, (lineno, value) in entries.items():
         if key not in allowed:
             raise ConfigError(f"unknown key for subcommand {subcommand!r}", lineno, key)
         section, _, name = key.rpartition(".")
         parsed = _parse_value(value, type(_value(base, key)), lineno, key)
-        (changes[section] if section else top)[name] = parsed
+        if not section:
+            top[name] = parsed
+            continue
+        # each section dataclass checks its fields one by one, so setting
+        # them one at a time finds the line of the value it rejects
+        try:
+            sections[section] = replace(sections[section], **{name: parsed})
+        except ValueError as exc:
+            raise ConfigError(str(exc), lineno, key) from exc
     try:
-        return replace(base, **top, **{section: replace(getattr(base, section), **kw)
-                                       for section, kw in changes.items()})
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        return replace(base, **top, **sections)
+    except ConfigError as exc:
+        # RunConfig names the key it rejects, a window check its lower end;
+        # the file may have set only the upper end
+        key = exc.key if exc.key in entries else {
+            "tolerances.fit_r_lo": "tolerances.fit_r_hi", "grids.p_min": "grids.p_max",
+            "grids.r_min": "grids.r_max"}.get(exc.key, exc.key)
+        line = entries[key][0] if key in entries else None
+        raise ConfigError(exc.message, line, key) from None
 
 
 def default_config(subcommand: str) -> RunConfig:
@@ -404,15 +417,14 @@ def _profile_rate_fit(profile, charge_q, r_lo=0.0):
             "too few positive profile values for a Yukawa rate fit; the "
             "radial window likely extends past the screened region "
             f"({len(positive)} of {len(tail)} usable)")
-    fit = fit_decay(positive, "log_linear")
+    fit = fit_decay(positive)
     return -fit.slope, fit
 
 
 def _other_route_m_d_sq(p: ThermalParams, tol: float) -> float:
     """m_D^2 from the Debye route that debye_mass_sq does not take at p (the integral
     for its closed form or series, the series for its integral): a defect in one shows."""
-    route = (debye_mass_sq_series if p.mass > 0.0 and p.beta * p.mass < 0.5
-             else debye_mass_sq_integral)
+    route = debye_mass_sq_series if _route(p) == "integral" else debye_mass_sq_integral
     return route(p, min(tol, 1e-8)).m_d_sq
 
 
@@ -548,7 +560,7 @@ def run_decay(config: RunConfig) -> Artifacts:
         "excluded": list(rep.excluded),
     }
     if p.mass > 0.0:
-        fit = fit_decay(list(zip(rep.separations, rep.kernels)), "log_linear")
+        fit = fit_decay(list(zip(rep.separations, rep.kernels)))
         art.results["fit_slope"] = fit.slope
         art.checks.append(_check("massive_rate_at_least_mass",
                                  min(-fit.slope / p.mass, 1.0), 1.0, 0.05))

@@ -54,7 +54,8 @@ def debye_mass_sq_series(params: ThermalParams, tol: float = 1e-12) -> DebyeResu
     """(e^2 m^2 / pi^2) * sum_n (-1)^n K2((n+1) beta m).
 
     The alternating K2 terms decay like e^{-(n+1) beta m}, so this route
-    is efficient for beta*m >= 0.5 and slow below.
+    is efficient for beta*m >= 0.5 and slow below. From beta*m ~ 687 the
+    first term is under the sum's 5e-300 floor: m_D^2 = 0.0, terms_used 0.
     """
     if params.is_ground:
         return _ground_result("series")
@@ -62,9 +63,6 @@ def debye_mass_sq_series(params: ThermalParams, tol: float = 1e-12) -> DebyeResu
         raise ValueError("mass = 0 has no series form; use the massless route")
     bm = params.beta * params.mass
     pref = params.charge_e ** 2 * params.mass ** 2 / math.pi ** 2
-    # K2 underflows to 0 beyond z ~ 740; the sum is then 0 to all purpose
-    if bm > 740.0:
-        return _result(0.0, "series", SeriesResult(value=0.0, terms_used=1, remainder_bound=0.0))
     # keep relative accuracy even deep in the suppressed regime, where the
     # requested absolute tol would otherwise swallow the whole first term
     t0 = bessel_k(2, bm)
@@ -106,16 +104,22 @@ def debye_mass_sq_massless(params: ThermalParams) -> DebyeResult:
     return _result(value, "massless")
 
 
+def _route(params: ThermalParams) -> str:
+    """The route debye_mass_sq takes at params."""
+    if params.is_ground:
+        return "series"
+    if params.mass == 0.0:
+        return "massless"
+    return "integral" if params.beta * params.mass < 0.5 else "series"
+
+
 def debye_mass_sq(params: ThermalParams, tol: float = 1e-10) -> DebyeResult:
     """Canonical dispatch: massless closed form, integral for small beta*m,
     series otherwise."""
-    if params.is_ground:
-        return _ground_result("series")
-    if params.mass == 0.0:
+    route = _route(params)
+    if route == "massless":
         return debye_mass_sq_massless(params)
-    if params.beta * params.mass < 0.5:
-        return debye_mass_sq_integral(params, tol)
-    return debye_mass_sq_series(params, tol)
+    return (debye_mass_sq_integral if route == "integral" else debye_mass_sq_series)(params, tol)
 
 
 def debye_length(params: ThermalParams, tol: float = 1e-10) -> float:

@@ -132,22 +132,16 @@ class DecayFit:
     slope: float
     intercept: float
     max_residual: float
-    model: str
-
-    def __post_init__(self):
-        if not (self.window[0] < self.window[1]):
-            raise ValueError("fit window must have r_min < r_max")
 
 
-def fit_decay(samples, model: str) -> DecayFit:
-    """Least squares of log|value| against r or log(1+r).
+def fit_decay(samples) -> DecayFit:
+    """Least squares of log|value| against r: the slope is minus the
+    exponential decay rate.
 
     Demands at least 8 strictly increasing radii, nonzero values, and a
     single sign throughout; envelopes with sign changes belong in
     absolute-value form before fitting.
     """
-    if model not in ("log_linear", "loglog_linear"):
-        raise ValueError(f"unknown fit model {model!r}")
     pts = [(float(r), float(v)) for r, v in samples]
     if len(pts) < 8:
         raise ValueError("need >= 8 samples for a decay fit")
@@ -159,12 +153,12 @@ def fit_decay(samples, model: str) -> DecayFit:
         raise ValueError("values must be finite and nonzero on the window")
     if any(v * vs[0] < 0.0 for v in vs):
         raise ValueError("sign change inside the fit window")
-    x = np.array(rs) if model == "log_linear" else np.log1p(np.array(rs))
+    x = np.array(rs)
     y = np.log(np.abs(np.array(vs)))
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.max(np.abs(y - (slope * x + intercept))))
     return DecayFit(window=(rs[0], rs[-1]), slope=float(slope),
-                    intercept=float(intercept), max_residual=resid, model=model)
+                    intercept=float(intercept), max_residual=resid)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ __all__ = [
     "yukawa_reference",
     "smeared_yukawa_reference",
     "delta_family_limit",
-    "default_r_grid",
 ]
 
 _FAMILIES = ("smoothed_point", "uniform_ball")
@@ -163,14 +162,6 @@ def smeared_yukawa_reference(q: float, lam: float, m_d_sq: float, width: float,
     return q * (near - far) / (8.0 * math.pi * r)
 
 
-def default_r_grid(m_d_sq: float) -> list[float]:
-    """Logarithmic grid, 64 points per decade, 0.05 to 20 screening lengths."""
-    scale = 1.0 / math.sqrt(m_d_sq) if m_d_sq > 0.0 else 1.0
-    lo, hi = 0.05 * scale, 20.0 * scale
-    n = int(math.ceil(64.0 * math.log10(hi / lo))) + 1
-    return list(np.geomspace(lo, hi, n))
-
-
 @functools.lru_cache(maxsize=8)
 def _full_denominator_model(params: ThermalParams, m_d_sq: float, tol: float):
     """Momentum-dependent denominator as a cheap callable.
@@ -235,8 +226,8 @@ def _full_denominator_model(params: ThermalParams, m_d_sq: float, tol: float):
 
 
 def screening_profile(source: SourceSpec, params: ThermalParams, mode: str,
-                      r_grid=None, tol: float = 1e-7) -> RadialProfile:
-    """Screened potential A(r) of a classical source by spectral division.
+                      r_grid, tol: float = 1e-7) -> RadialProfile:
+    """Screened potential A(r) of a classical source at the radii r_grid, by spectral division.
 
     ``zeroth_order`` freezes the kernel at its zero-momentum value, so the
     propagator is exactly Yukawa; ``full_kernel`` uses the scanned
@@ -251,8 +242,6 @@ def screening_profile(source: SourceSpec, params: ThermalParams, mode: str,
 
     kernel_tol = min(tol, 1e-8)
     m_d_sq = debye_mass_sq(params, kernel_tol).m_d_sq
-    if r_grid is None:
-        r_grid = default_r_grid(m_d_sq)
 
     diagnostics = {"profile_tol": tol, "kernel_tol": kernel_tol}
     if mode == "zeroth_order":

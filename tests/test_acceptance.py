@@ -131,7 +131,7 @@ def test_06_yukawa_screening_zeroth_order():
                 / yukawa_reference(1.0, 1.0, md2, r)
                 for r, v in zip(rg, prof.values))
     rate = -fit_decay([(r, 4.0 * math.pi * r * v)
-                       for r, v in zip(rg, prof.values)], "log_linear").slope
+                       for r, v in zip(rg, prof.values)]).slope
     ok = worst < 1e-4 and abs(rate - 1.0) < 1e-3
     report("frozen-kernel profile is Yukawa", ok,
            f"worst rel {worst:.2e} (tol 1e-4), rate {rate:.6f} (tol 0.1%)",
@@ -158,7 +158,7 @@ def test_08_massive_decay_rate():
             pts = [(z, abs(thermal_kernel_imag(beta / 2.0, z, "scalar_m",
                                                PROF, p, 1e-9)))
                    for z in zs]
-            rate = -fit_decay(pts, "log_linear").slope
+            rate = -fit_decay(pts).slope
             worst = min(worst, rate / m)
     report("massive kernel decays at least at rate 0.95 m", worst >= 0.95,
            f"9 parameter pairs, worst rate/m {worst:.3f}",

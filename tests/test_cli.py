@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -162,16 +163,24 @@ class TestParseErrors:
         ("seed=-1", "seed"),
         ("tolerances.quadrature=0.0", "tolerances"),
         ("tolerances.fit_r_lo=20.0", "fit"),
+        # the window check names fit_r_lo, but the file set only fit_r_hi
+        ("tolerances.fit_r_hi=3.0", "fit"),
         ("grids.r_min=0.0", "r_min"),
+        ("params.mass=inf", "mass"),
+        ("params.beta=-1.0", "beta"),
+        ("source.width=0.0", "width"),
     ])
     def test_validation_failures(self, line, frag):
         # each key is set in a subcommand that reads it, so the failure is
         # the value's, not an unknown key's
+        key = line.partition("=")[0]
         name = {"grids.r_count": "screening", "grids.r_min": "screening",
-                "tolerances.fit_r_lo": "decay"}.get(line.partition("=")[0], "debye")
+                "source.width": "screening", "tolerances.fit_r_lo": "decay",
+                "tolerances.fit_r_hi": "decay"}.get(key, "debye")
         with pytest.raises(ConfigError, match=frag) as exc:
             parse_config(f"subcommand={name}\n{line}\n")
         assert "unknown key" not in str(exc.value)
+        assert exc.value.line == 2 and exc.value.key == key
 
     def test_bad_subcommand_in_constructor(self):
         with pytest.raises(ConfigError):
@@ -218,6 +227,50 @@ def _fake_artifacts(ok=True):
     art.csv_units = "-"
     art.csv_rows = [(1.0,)]
     return art
+
+
+def _passed_checks(art):
+    return {c["name"]: c["pass"] for c in art.checks}
+
+
+class TestRunBranches:
+    """Each subcommand's non-default branches, run in process."""
+
+    def test_massless_debye_compares_closed_form_and_integral(self):
+        art = cli.run_debye(parse_config("subcommand=debye\nparams.mass=0.0\n"))
+        assert set(art.results["routes"]) == {"massless", "integral"}
+        assert _passed_checks(art) == {"debye_route_agreement": True}
+
+    def test_ground_state_debye_mass_vanishes(self):
+        art = cli.run_debye(parse_config("subcommand=debye\nparams.beta=inf\n"))
+        assert set(art.results["routes"]) == {"series"}
+        assert _passed_checks(art) == {"ground_state_mass_vanishes": True}
+
+    def test_coulomb_screening_keeps_its_charge(self):
+        art = cli.run_screening(parse_config("subcommand=screening\nparams.lam=0.0\n"))
+        assert _passed_checks(art) == {"coulomb_rate_zero": True,
+                                       "coulomb_charge_recovered": True,
+                                       "profile_vs_smeared_yukawa": True}
+
+    def test_full_kernel_fit_falls_back_to_the_last_eight_radii(self):
+        cfg = parse_config("subcommand=screening\nkernel.mode=full_kernel\n")
+        art = cli.run_screening(cfg)
+        assert _passed_checks(art) == {"screening_rate": True}
+        # no 8 radii lie past 5 / rate, so the fit takes the last 8
+        g = cfg.grids
+        r_grid = np.geomspace(g.r_min, g.r_max, g.r_count)
+        assert art.results["fit_window"][0] < 5.0 / art.results["reference_rate"]
+        assert art.results["fit_window"] == pytest.approx([r_grid[-8], r_grid[-1]])
+
+    def test_ground_state_polarization_kernel_is_zero(self):
+        art = cli.run_polarization(
+            parse_config("subcommand=polarization\nparams.beta=inf\n"))
+        assert _passed_checks(art) == {"ground_state_kernel_zero": True}
+
+    def test_spatial_polarization_vanishes_at_zero_momentum(self):
+        art = cli.run_polarization(
+            parse_config("subcommand=polarization\nkernel.channel=spatial\n"))
+        assert _passed_checks(art) == {"spatial_static_zero": True}
 
 
 class TestMainInProcess:
@@ -347,7 +400,9 @@ class TestMainInProcess:
         p = tmp_path / "c.cfg"
         p.write_text(f"subcommand={name}\n{key}=inf\n")
         assert cli.main([name, "--config", str(p), "--quiet"]) == 2
-        assert key.partition(".")[2] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert key.partition(".")[2] in err
+        assert f"line 2 key '{key}'" in err
 
     def test_ground_state_decay_derives_its_regime(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -17,7 +17,6 @@ from debye_screen.maxwell import (
     DeltaLimitReport,
     RadialProfile,
     SourceSpec,
-    default_r_grid,
     delta_family_limit,
     screening_profile,
     source_fourier,
@@ -137,18 +136,6 @@ class TestYukawaReference:
             yukawa_reference(1.0, -0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
             yukawa_reference(1.0, 1.0, -1.0, 1.0)
-
-
-class TestDefaultGrid:
-    def test_span_and_density(self):
-        g = default_r_grid(1.0)
-        assert g[0] == pytest.approx(0.05) and g[-1] == pytest.approx(20.0)
-        assert len(g) == 168  # 64 per decade over 2.6 decades
-        assert all(a < b for a, b in zip(g, g[1:]))
-
-    def test_scales_with_screening_length(self):
-        g = default_r_grid(4.0)
-        assert g[0] == pytest.approx(0.025) and g[-1] == pytest.approx(10.0)
 
 
 class TestRadialProfileValidation:

@@ -16,7 +16,7 @@ EXPORTED = (
     "debye_mass_sq_massless", "debye_length",
     "KernelScan", "ScanPoint", "f_hat_temporal", "f_hat_spatial", "b_hat", "scan_kernel",
     "SourceSpec", "RadialProfile", "DeltaLimitReport", "source_fourier", "screening_profile",
-    "yukawa_reference", "delta_family_limit", "default_r_grid",
+    "yukawa_reference", "delta_family_limit",
     "GraphSet", "DecayFit", "KernelConfig", "BoundConfig", "RatioReport", "DivergenceControl",
     "thermal_kernel_imag", "fit_decay", "enumerate_connected_graphs", "graph_bound",
     "verify_bound_ratio", "lemma2_check", "lemma2_divergence_control",
@@ -34,7 +34,7 @@ def test_namespace_is_the_union_of_module_exports():
 
 def test_earlier_exports_still_import():
     exec(f"from debye_screen import {', '.join(EXPORTED)}", {})
-    assert len(EXPORTED) == 53 and set(EXPORTED) <= set(debye_screen.__all__)
+    assert len(EXPORTED) == 52 and set(EXPORTED) <= set(debye_screen.__all__)
 
 
 def test_module_exports_resolve_from_the_package():
